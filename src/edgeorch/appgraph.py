@@ -40,7 +40,6 @@ class Block:
     gpu_compute_pct: float = 0.0
     max_source_latency_ms: float | None = None  # None = unbounded
     allowed_tiers: tuple[str, ...] = TIERS
-    preferred_tier: str | None = None
     pinned_site: str | None = None
     params: tuple[ParamKnob, ...] = ()
 
@@ -66,7 +65,7 @@ class DemandVector:
 
 @dataclass(frozen=True)
 class GraphViolation:
-    kind: str  # CycleDetected | UnknownEndpoint | EmptyGraph | DuplicateBlockId | UnreachableBlock | BadKnob | BadPin
+    kind: str  # CycleDetected | UnknownEndpoint | EmptyGraph | DuplicateBlockId | UnreachableBlock | BadKnob
     detail: str
 
 
@@ -138,8 +137,6 @@ def validate_graph(g: AppGraph) -> list[GraphViolation]:
                         if getattr(lv, attr) > getattr(prev, attr):
                             out.append(GraphViolation("BadKnob", f"{b.id}.{knob.name}[{i}].{attr} increases"))
                     prev = lv
-        if b.pinned_site is not None and b.preferred_tier is not None and b.preferred_tier not in b.allowed_tiers:
-            out.append(GraphViolation("BadPin", f"{b.id}: preferred_tier not in allowed_tiers"))
 
     for e in g.edges:
         for endpoint in (e.src, e.dst):

@@ -17,7 +17,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .appgraph import AppGraph, Block, effective_demand, quality_loss, source_latency_requirements
+from .appgraph import (AppGraph, Block, DemandVector, effective_demand, quality_loss,
+                       source_latency_requirements)
 from .topology import Topology
 
 EPS = 1e-9
@@ -150,63 +151,89 @@ def _all_blocks(apps) -> dict[str, tuple[AppGraph, Block]]:
     return out
 
 
-def check_feasible(topology: Topology, apps, placement: Placement) -> list[Violation]:
-    """All constraint violations of a total placement (empty == feasible)."""
-    blocks = _all_blocks(apps)
-    for bid in blocks:
-        if bid not in placement.assignment:
-            raise ValueError(f"placement is not total: missing block {bid!r}")
+@dataclass(frozen=True)
+class Loads:
+    """What a total placement puts on sites, GPUs and links: the one
+    accounting behind check_feasible, policy_cost and the metrics snapshot."""
+    blocks: dict[str, tuple[AppGraph, Block]]
+    cpu: dict[str, float]                    # site id -> cores
+    gpu_mem: dict[tuple[str, str], float]    # (site, gpu) -> GB
+    gpu_comp: dict[tuple[str, str], float]   # (site, gpu) -> percent
+    link: dict[str, float]                   # child site id -> Mbps, both directions pooled
+    quality_loss: float
+    traffic_cost: float
 
-    out: list[Violation] = []
-    cpu_used: dict[str, float] = {}
+
+def account(topology: Topology, apps, placement: Placement) -> Loads:
+    """Demands, loads, quality loss and traffic cost of a total placement.
+
+    Raises ValueError when a block is unplaced, or when its GPU slot does
+    not match whether it needs a GPU.
+    """
+    blocks = _all_blocks(apps)
+    demand: dict[str, DemandVector] = {}
+    cpu: dict[str, float] = {}
     gpu_mem: dict[tuple[str, str], float] = {}
     gpu_comp: dict[tuple[str, str], float] = {}
-    demands: dict[str, object] = {}
-
-    for bid, (app, b) in sorted(blocks.items()):
+    qloss = 0.0
+    for bid, (app, b) in blocks.items():
+        if bid not in placement.assignment:
+            raise ValueError(f"placement is not total: missing block {bid!r}")
         site_id, gpu_id = placement.assignment[bid]
-        site = topology.site(site_id)
-        d = effective_demand(b, placement.levels_of(b))
-        demands[bid] = d
-        if site.tier not in b.allowed_tiers:
-            out.append(Violation("TierForbidden", f"{bid}@{site_id}", 0.0))
-        if b.pinned_site is not None and site_id != b.pinned_site:
-            out.append(Violation("PinBroken", bid, 0.0))
-        cpu_used[site_id] = cpu_used.get(site_id, 0.0) + d.cpu
+        levels = placement.levels_of(b)
+        d = demand[bid] = effective_demand(b, levels)
+        qloss += quality_loss(b, levels)
+        cpu[site_id] = cpu.get(site_id, 0.0) + d.cpu
         if b.needs_gpu:
             if gpu_id is None:
                 raise ValueError(f"block {bid!r} requires a GPU slot but has none")
-            gpu = site.gpu(gpu_id)
             key = (site_id, gpu_id)
             gpu_mem[key] = gpu_mem.get(key, 0.0) + d.gpu_mem_gb
             gpu_comp[key] = gpu_comp.get(key, 0.0) + d.gpu_compute_pct
         elif gpu_id is not None:
             raise ValueError(f"block {bid!r} does not require a GPU but has slot {gpu_id!r}")
 
-    for site_id in sorted(cpu_used):
-        cap = topology.site(site_id).ai_cpu_capacity
-        if cpu_used[site_id] > cap + EPS:
-            out.append(Violation("CpuOver", site_id, cpu_used[site_id] - cap))
-    for (site_id, gpu_id) in sorted(gpu_mem):
-        gpu = topology.site(site_id).gpu(gpu_id)
-        if gpu_mem[(site_id, gpu_id)] > gpu.mem_gb + EPS:
-            out.append(Violation("GpuMemOver", f"{site_id}/{gpu_id}", gpu_mem[(site_id, gpu_id)] - gpu.mem_gb))
-        if gpu_comp[(site_id, gpu_id)] > gpu.compute_pct + EPS:
-            out.append(Violation("GpuComputeOver", f"{site_id}/{gpu_id}", gpu_comp[(site_id, gpu_id)] - gpu.compute_pct))
-
-    link_load: dict[str, float] = {}
-    link_caps: dict[str, float] = {}
+    link: dict[str, float] = {}
+    traffic = 0.0
     for app in _sorted_apps(apps):
         for e in app.edges:
-            rate = e.rate_mbps * demands[e.src].rate_scale
+            rate = e.rate_mbps * demand[e.src].rate_scale
             if rate <= 0:
                 continue
-            for link in topology.route(placement.site_of(e.src), placement.site_of(e.dst)):
-                link_load[link.key] = link_load.get(link.key, 0.0) + rate
-                link_caps[link.key] = link.bandwidth_mbps
-    for key in sorted(link_load):
-        if link_load[key] > link_caps[key] + EPS:
-            out.append(Violation("BandwidthOver", key, link_load[key] - link_caps[key]))
+            links, cost, _lat = topology.path(placement.site_of(e.src), placement.site_of(e.dst))
+            traffic += rate * cost
+            for l in links:
+                link[l.child] = link.get(l.child, 0.0) + rate
+    return Loads(blocks, cpu, gpu_mem, gpu_comp, link, qloss, traffic)
+
+
+def check_feasible(topology: Topology, apps, placement: Placement) -> list[Violation]:
+    """All constraint violations of a total placement (empty == feasible)."""
+    loads = account(topology, apps, placement)
+    out: list[Violation] = []
+    for bid, (app, b) in sorted(loads.blocks.items()):
+        site_id = placement.site_of(bid)
+        if topology.site(site_id).tier not in b.allowed_tiers:
+            out.append(Violation("TierForbidden", f"{bid}@{site_id}", 0.0))
+        if b.pinned_site is not None and site_id != b.pinned_site:
+            out.append(Violation("PinBroken", bid, 0.0))
+
+    for site_id in sorted(loads.cpu):
+        cap = topology.site(site_id).ai_cpu_capacity
+        if loads.cpu[site_id] > cap + EPS:
+            out.append(Violation("CpuOver", site_id, loads.cpu[site_id] - cap))
+    for (site_id, gpu_id) in sorted(loads.gpu_mem):
+        gpu = topology.site(site_id).gpu(gpu_id)
+        mem, comp = loads.gpu_mem[(site_id, gpu_id)], loads.gpu_comp[(site_id, gpu_id)]
+        if mem > gpu.mem_gb + EPS:
+            out.append(Violation("GpuMemOver", f"{site_id}/{gpu_id}", mem - gpu.mem_gb))
+        if comp > gpu.compute_pct + EPS:
+            out.append(Violation("GpuComputeOver", f"{site_id}/{gpu_id}", comp - gpu.compute_pct))
+
+    for link in topology.links:
+        load = loads.link.get(link.child, 0.0)
+        if load > link.bandwidth_mbps + EPS:
+            out.append(Violation("BandwidthOver", link.key, load - link.bandwidth_mbps))
 
     for app in _sorted_apps(apps):
         reqs = source_latency_requirements(app)
@@ -223,23 +250,11 @@ def check_feasible(topology: Topology, apps, placement: Placement) -> list[Viola
 def policy_cost(topology: Topology, apps, placement: Placement,
                 prev: Placement | None = None) -> PolicyCost:
     """Lexicographic objective of a (feasible) placement."""
-    blocks = _all_blocks(apps)
-    qloss = 0.0
-    scale: dict[str, float] = {}
-    for bid, (app, b) in sorted(blocks.items()):
-        levels = placement.levels_of(b)
-        qloss += quality_loss(b, levels)
-        scale[bid] = effective_demand(b, levels).rate_scale
-
-    traffic = 0.0
-    for app in _sorted_apps(apps):
-        for e in app.edges:
-            traffic += e.rate_mbps * scale[e.src] * topology.path_cost(
-                placement.site_of(e.src), placement.site_of(e.dst))
-
+    loads = account(topology, apps, placement)
+    blocks = loads.blocks
     migrations = 0
     if prev is not None:
-        for bid in sorted(blocks):
+        for bid in blocks:
             if bid in prev.assignment and prev.site_of(bid) != placement.site_of(bid):
                 migrations += 1
 
@@ -248,7 +263,7 @@ def policy_cost(topology: Topology, apps, placement: Placement,
          placement.levels_of(blocks[bid][1]))
         for bid in sorted(blocks)
     )
-    return PolicyCost(qloss, traffic, migrations, tiebreak)
+    return PolicyCost(loads.quality_loss, loads.traffic_cost, migrations, tiebreak)
 
 
 @dataclass
@@ -267,7 +282,6 @@ class _Problem:
     def __init__(self, topology: Topology, apps, prev: Placement | None):
         self.topology = topology
         self.apps = _sorted_apps(apps)
-        self.prev = prev
         self.blocks_by_id = _all_blocks(apps)
 
         pinned: list[tuple[AppGraph, Block]] = []
@@ -280,8 +294,7 @@ class _Problem:
         self.index = {pair[1].id: i for i, pair in enumerate(self.order)}
         self.n = len(self.order)
 
-        # Route caches keyed by site pair.
-        self._routes: dict[tuple[str, str], tuple[list, float, float]] = {}
+        self.bw_cap = {l.child: l.bandwidth_mbps for l in topology.links}
 
         # Latency requirements: block id -> list of (pinned source site, bound)
         self.lat_reqs: dict[str, list[tuple[str, float]]] = {}
@@ -332,15 +345,6 @@ class _Problem:
 
         self.prev_site = {bid: prev.site_of(bid) for bid in prev.assignment} if prev else {}
 
-    def route_info(self, a: str, b: str) -> tuple[list, float, float]:
-        key = (a, b)
-        info = self._routes.get(key)
-        if info is None:
-            links = self.topology.route(a, b)
-            info = (links, sum(l.cost_weight for l in links), sum(l.latency_ms for l in links))
-            self._routes[key] = info
-        return info
-
     def min_fit_exists(self, i: int, cpu_used, gpu_mem, gpu_comp) -> bool:
         """True if block i fits somewhere on residual capacity alone."""
         app, b = self.order[i]
@@ -362,7 +366,12 @@ class _Problem:
 
 
 class _State:
-    """Mutable partial assignment shared by the solvers."""
+    """Mutable partial assignment shared by the solvers.
+
+    A token (i, site, gpu, combo, link loads by child site id, traffic,
+    migration) records what placing block i adds; placing, undoing,
+    removing and restoring all go through apply().
+    """
 
     def __init__(self, prob: _Problem):
         self.prob = prob
@@ -377,6 +386,42 @@ class _State:
         self.traffic = 0.0
         self.migrations = 0
 
+    def token(self, i: int, sid: str, gid: str | None, combo: _LevelCombo) -> tuple:
+        """Token for block i at (sid, gid, combo): the link loads and traffic its
+        edges to placed peers add, and whether it migrates."""
+        prob = self.prob
+        bw_delta: dict[str, float] = {}
+        traffic_delta = 0.0
+        for peer, i_is_src, base_rate in prob.incident[i]:
+            peer_site = self.site[peer]
+            if peer_site is None:
+                continue  # edge accounted when the peer is placed
+            rate = base_rate * (combo.rate_scale if i_is_src else self.combo[peer].rate_scale)
+            if rate <= 0:
+                continue
+            a, b = (sid, peer_site) if i_is_src else (peer_site, sid)
+            links, cost, _lat = prob.topology.path(a, b)
+            traffic_delta += rate * cost
+            for link in links:
+                bw_delta[link.child] = bw_delta.get(link.child, 0.0) + rate
+        migr = 1 if prob.prev_site.get(prob.order[i][1].id, sid) != sid else 0
+        return (i, sid, gid, combo, bw_delta, traffic_delta, migr)
+
+    def apply(self, token: tuple, sign: int) -> None:
+        """Add (sign 1) or take away (sign -1) what a token records."""
+        i, sid, gid, combo, bw_delta, traffic_delta, migr = token
+        self.site[i], self.gpu[i], self.combo[i] = (sid, gid, combo) if sign > 0 else (None, None, None)
+        self.cpu_used[sid] = self.cpu_used.get(sid, 0.0) + sign * combo.cpu
+        if gid is not None:
+            gkey = (sid, gid)
+            self.gpu_mem[gkey] = self.gpu_mem.get(gkey, 0.0) + sign * combo.gpu_mem
+            self.gpu_comp[gkey] = self.gpu_comp.get(gkey, 0.0) + sign * combo.gpu_comp
+        for key, add in bw_delta.items():
+            self.bw_used[key] = self.bw_used.get(key, 0.0) + sign * add
+        self.qloss += sign * combo.qloss
+        self.traffic += sign * traffic_delta
+        self.migrations += sign * migr
+
     def try_place(self, i: int, sid: str, gid: str | None, combo: _LevelCombo):
         """Check capacity and apply; returns an undo token or None on misfit."""
         prob = self.prob
@@ -390,59 +435,34 @@ class _State:
                 return None
             if self.gpu_comp.get(gkey, 0.0) + combo.gpu_comp > gpu.compute_pct + EPS:
                 return None
-
-        bw_delta: dict[str, float] = {}
-        traffic_delta = 0.0
-        for peer, i_is_src, base_rate in prob.incident[i]:
-            if self.site[peer] is None:
-                continue  # edge accounted when the peer is placed
-            scale = combo.rate_scale if i_is_src else self.combo[peer].rate_scale
-            rate = base_rate * scale
-            if rate <= 0:
-                continue
-            a, b = (sid, self.site[peer]) if i_is_src else (self.site[peer], sid)
-            links, cost, _lat = prob.route_info(a, b)
-            traffic_delta += rate * cost
-            for link in links:
-                bw_delta[link.key] = bw_delta.get(link.key, 0.0) + rate
-        for key, add in bw_delta.items():
-            link_cap = next(l.bandwidth_mbps for l in prob.topology.links if l.key == key)
-            if self.bw_used.get(key, 0.0) + add > link_cap + EPS:
+        token = self.token(i, sid, gid, combo)
+        for key, add in token[4].items():
+            if self.bw_used.get(key, 0.0) + add > prob.bw_cap[key] + EPS:
                 return None
+        self.apply(token, 1)
+        return token
 
-        bid = prob.order[i][1].id
-        migr = 1 if prob.prev_site.get(bid, sid) != sid else 0
+    def undo(self, token) -> None:
+        self.apply(token, -1)
 
-        self.site[i] = sid
-        self.gpu[i] = gid
-        self.combo[i] = combo
-        self.cpu_used[sid] = self.cpu_used.get(sid, 0.0) + combo.cpu
-        if gid is not None:
-            gkey = (sid, gid)
-            self.gpu_mem[gkey] = self.gpu_mem.get(gkey, 0.0) + combo.gpu_mem
-            self.gpu_comp[gkey] = self.gpu_comp.get(gkey, 0.0) + combo.gpu_comp
-        for key, add in bw_delta.items():
-            self.bw_used[key] = self.bw_used.get(key, 0.0) + add
-        self.qloss += combo.qloss
-        self.traffic += traffic_delta
-        self.migrations += migr
-        return (i, sid, gid, combo, bw_delta, traffic_delta, migr)
+    def remove(self, i: int):
+        """Take placed block i out; returns what restore() needs to put it back."""
+        totals = (dict(self.cpu_used), dict(self.gpu_mem), dict(self.gpu_comp),
+                  dict(self.bw_used), self.qloss, self.traffic)
+        token = self.token(i, self.site[i], self.gpu[i], self.combo[i])
+        self.apply(token, -1)
+        return token, totals
 
-    def undo(self, token):
-        i, sid, gid, combo, bw_delta, traffic_delta, migr = token
-        self.site[i] = None
-        self.gpu[i] = None
-        self.combo[i] = None
-        self.cpu_used[sid] -= combo.cpu
-        if gid is not None:
-            gkey = (sid, gid)
-            self.gpu_mem[gkey] -= combo.gpu_mem
-            self.gpu_comp[gkey] -= combo.gpu_comp
-        for key, add in bw_delta.items():
-            self.bw_used[key] -= add
-        self.qloss -= combo.qloss
-        self.traffic -= traffic_delta
-        self.migrations -= migr
+    def restore(self, removed) -> None:
+        """Undo remove() exactly, once everything placed since has been undone.
+
+        Float sums do not round-trip through a subtract and an add, so the
+        totals come back from before the removal.
+        """
+        token, totals = removed
+        self.apply(token, 1)
+        (self.cpu_used, self.gpu_mem, self.gpu_comp,
+         self.bw_used, self.qloss, self.traffic) = totals
 
     def to_placement(self) -> Placement:
         assignment: dict[str, tuple[str, str | None]] = {}
@@ -513,16 +533,6 @@ def solve_exact(topology: Topology, apps, prev: Placement | None = None,
     return best["placement"]
 
 
-def adapt_params(topology: Topology, apps, prev: Placement | None = None,
-                 opts: SolverOpts | None = None) -> Placement:
-    """Entry point when full-quality placement is infeasible.
-
-    Knob levels are already part of solve_exact's search space, so this
-    is the same search; the name documents the intent at call sites.
-    """
-    return solve_exact(topology, apps, prev, opts)
-
-
 def infeasibility_report(topology: Topology, apps) -> list[str]:
     """Human-readable reasons why no placement can exist (best effort)."""
     out: list[str] = []
@@ -571,9 +581,7 @@ def solve_greedy(topology: Topology, apps, prev: Placement | None = None,
                 token = state.try_place(i, sid, gid, combo)
                 if token is None:
                     continue
-                bid = prob.order[i][1].id
-                migr = 1 if prob.prev_site.get(bid, sid) != sid else 0
-                key = (combo.qloss, token[5], migr, sid, gid or "", combo.levels)
+                key = (combo.qloss, token[5], token[6], sid, gid or "", combo.levels)
                 state.undo(token)
                 if best_key is None or key < best_key:
                     best_key, best_opt = key, (sid, gid, combo)
@@ -593,18 +601,18 @@ def solve_greedy(topology: Topology, apps, prev: Placement | None = None,
             for j in sorted(victims, key=lambda j: prob.order[j][1].id):
                 if evictions >= opts.max_evictions:
                     return False
-                saved = _remove_block(state, j)
+                saved = state.remove(j)
                 opt_i = best_option(i)
                 if opt_i is not None:
-                    state.try_place(i, *opt_i)
+                    placed_i = state.try_place(i, *opt_i)
                     opt_j = best_option(j)
                     if opt_j is not None:
                         state.try_place(j, *opt_j)
                         evictions += 1
                         return True
                     # could not re-place the victim; roll back
-                    _remove_block(state, i)
-                _restore_block(state, j, saved)
+                    state.undo(placed_i)
+                state.restore(saved)
         return False
 
     for i in range(prob.n):
@@ -619,61 +627,6 @@ def solve_greedy(topology: Topology, apps, prev: Placement | None = None,
         raise InfeasibleError("greedy produced an infeasible placement",
                               violations=[f"{v.kind}:{v.subject}" for v in leftover])
     return placement
-
-
-def _remove_block(state: _State, i: int):
-    """Detach block i from the partial state, returning what is needed to restore it."""
-    prob = state.prob
-    sid, gid, combo = state.site[i], state.gpu[i], state.combo[i]
-    # Recompute the edge contributions that were added for i.
-    bw_delta: dict[str, float] = {}
-    traffic_delta = 0.0
-    for peer, i_is_src, base_rate in prob.incident[i]:
-        if state.site[peer] is None:
-            continue
-        scale = combo.rate_scale if i_is_src else state.combo[peer].rate_scale
-        rate = base_rate * scale
-        if rate <= 0:
-            continue
-        a, b = (sid, state.site[peer]) if i_is_src else (state.site[peer], sid)
-        links, cost, _lat = prob.route_info(a, b)
-        traffic_delta += rate * cost
-        for link in links:
-            bw_delta[link.key] = bw_delta.get(link.key, 0.0) + rate
-    bid = prob.order[i][1].id
-    migr = 1 if prob.prev_site.get(bid, sid) != sid else 0
-
-    state.site[i] = None
-    state.gpu[i] = None
-    state.combo[i] = None
-    state.cpu_used[sid] -= combo.cpu
-    if gid is not None:
-        gkey = (sid, gid)
-        state.gpu_mem[gkey] -= combo.gpu_mem
-        state.gpu_comp[gkey] -= combo.gpu_comp
-    for key, add in bw_delta.items():
-        state.bw_used[key] -= add
-    state.qloss -= combo.qloss
-    state.traffic -= traffic_delta
-    state.migrations -= migr
-    return (sid, gid, combo, bw_delta, traffic_delta, migr)
-
-
-def _restore_block(state: _State, i: int, saved):
-    sid, gid, combo, bw_delta, traffic_delta, migr = saved
-    state.site[i] = sid
-    state.gpu[i] = gid
-    state.combo[i] = combo
-    state.cpu_used[sid] = state.cpu_used.get(sid, 0.0) + combo.cpu
-    if gid is not None:
-        gkey = (sid, gid)
-        state.gpu_mem[gkey] = state.gpu_mem.get(gkey, 0.0) + combo.gpu_mem
-        state.gpu_comp[gkey] = state.gpu_comp.get(gkey, 0.0) + combo.gpu_comp
-    for key, add in bw_delta.items():
-        state.bw_used[key] = state.bw_used.get(key, 0.0) + add
-    state.qloss += combo.qloss
-    state.traffic += traffic_delta
-    state.migrations += migr
 
 
 def solve(topology: Topology, apps, prev: Placement | None = None,
@@ -693,9 +646,7 @@ def plan_actions(prev: Placement | None, nxt: Placement) -> list[Action]:
     Removes come first so freed resources are available before Deploys.
     """
     prev = prev or Placement()
-
-    def block_levels(p: Placement, bid: str) -> tuple[tuple[str, int], ...]:
-        return tuple(sorted((knob, idx) for (b, knob), idx in p.levels.items() if b == bid))
+    prev_levels, nxt_levels = _levels_by_block(prev), _levels_by_block(nxt)
 
     removes, migrates, deploys, setlevels = [], [], [], []
     for bid in sorted(prev.assignment):
@@ -703,12 +654,20 @@ def plan_actions(prev: Placement | None, nxt: Placement) -> list[Action]:
             removes.append(Action("Remove", block=bid, from_site=prev.site_of(bid)))
     for bid in sorted(nxt.assignment):
         site, gpu = nxt.assignment[bid]
-        lv = block_levels(nxt, bid)
+        lv = nxt_levels.get(bid, ())
         if bid not in prev.assignment:
             deploys.append(Action("Deploy", block=bid, site=site, gpu=gpu, levels=lv))
         elif prev.assignment[bid] != (site, gpu):
             migrates.append(Action("Migrate", block=bid, site=site, gpu=gpu,
                                    from_site=prev.site_of(bid), levels=lv))
-        elif block_levels(prev, bid) != lv:
+        elif prev_levels.get(bid, ()) != lv:
             setlevels.append(Action("SetLevel", block=bid, site=site, levels=lv))
     return removes + migrates + deploys + setlevels
+
+
+def _levels_by_block(p: Placement) -> dict[str, tuple[tuple[str, int], ...]]:
+    """block id -> its sorted (knob, level) pairs."""
+    out: dict[str, list[tuple[str, int]]] = {}
+    for (bid, knob), idx in p.levels.items():
+        out.setdefault(bid, []).append((knob, idx))
+    return {bid: tuple(sorted(pairs)) for bid, pairs in out.items()}

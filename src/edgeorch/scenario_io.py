@@ -166,6 +166,7 @@ def parse_scenario(text: str, lax: bool = False) -> Scenario:
                 for t in allowed:
                     if t not in TIERS:
                         raise InvariantViolation(bpath, f"unknown tier {t!r} in allowed_tiers")
+            # Scenario files may set it (fig4.json does); no solver reads the value.
             preferred = b.get("preferred_tier")
             if preferred is not None and preferred not in TIERS:
                 raise InvariantViolation(bpath, f"unknown preferred_tier {preferred!r}")
@@ -180,7 +181,6 @@ def parse_scenario(text: str, lax: bool = False) -> Scenario:
                 gpu_compute_pct=float(b.get("gpu_compute_pct", 0.0)),
                 max_source_latency_ms=None if lat is None else float(lat),
                 allowed_tiers=TIERS if allowed is None else tuple(allowed),
-                preferred_tier=preferred,
                 pinned_site=pinned,
                 params=tuple(knobs),
             ))
@@ -279,7 +279,6 @@ def serialize_scenario(s: Scenario) -> str:
                         "gpu_compute_pct": b.gpu_compute_pct,
                         "max_source_latency_ms": b.max_source_latency_ms,
                         "allowed_tiers": list(b.allowed_tiers),
-                        "preferred_tier": b.preferred_tier,
                         "pinned_site": b.pinned_site,
                         "params": [
                             {

@@ -4,17 +4,18 @@ Each event (app arrival/departure, capacity delta) triggers a re-solve
 with the current placement as the migration baseline.  The orchestrator
 never commits an infeasible placement: an unsatisfiable arrival (or a
 capacity shrink that would strand the admitted apps) is rejected and the
-prior state kept.  Data traffic is accounted analytically from rates and
-routes; virtual time only orders events.
+prior state kept.  An event the exact solver cannot finish within its node
+budget is placed by the greedy solver instead.  Data traffic is accounted
+analytically from rates and routes; virtual time only orders events.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from .appgraph import AppGraph, effective_demand
-from .placer import (Action, InfeasibleError, Placement, SolverOpts, check_feasible,
-                     plan_actions, policy_cost, solve)
+from .appgraph import AppGraph
+from .placer import (Action, BudgetExceededError, InfeasibleError, Placement, SolverOpts,
+                     account, check_feasible, plan_actions, policy_cost, solve)
 from .topology import Topology, build_topology
 
 
@@ -80,48 +81,23 @@ class SimTrace:
 
 
 def snapshot(state: SimState) -> MetricsSnapshot:
-    """Metrics recomputed from scratch for the current placement."""
+    """Metrics of the current placement, from the placer's accounting."""
     t = state.topology
-    cpu_used = {sid: 0.0 for sid in sorted(t.sites)}
-    cpu_cap = {sid: t.sites[sid].ai_cpu_capacity for sid in sorted(t.sites)}
-    gpu_mem_used, gpu_mem_cap, gpu_comp_used, gpu_comp_cap = {}, {}, {}, {}
-    for sid in sorted(t.sites):
-        for g in sorted(t.sites[sid].gpus, key=lambda g: g.id):
-            key = f"{sid}/{g.id}"
-            gpu_mem_used[key] = 0.0
-            gpu_mem_cap[key] = g.mem_gb
-            gpu_comp_used[key] = 0.0
-            gpu_comp_cap[key] = g.compute_pct
-    link_traffic = {l.key: 0.0 for l in t.links}
-    link_bw = {l.key: l.bandwidth_mbps for l in t.links}
-
-    scale: dict[str, float] = {}
-    for app_id in sorted(state.admitted):
-        app = state.admitted[app_id]
-        for b in app.blocks:
-            site_id, gpu_id = state.placement.assignment[b.id]
-            d = effective_demand(b, state.placement.levels_of(b))
-            scale[b.id] = d.rate_scale
-            cpu_used[site_id] += d.cpu
-            if gpu_id is not None:
-                key = f"{site_id}/{gpu_id}"
-                gpu_mem_used[key] += d.gpu_mem_gb
-                gpu_comp_used[key] += d.gpu_compute_pct
-    for app_id in sorted(state.admitted):
-        app = state.admitted[app_id]
-        for e in app.edges:
-            rate = e.rate_mbps * scale[e.src]
-            for link in t.route(state.placement.site_of(e.src), state.placement.site_of(e.dst)):
-                link_traffic[link.key] += rate
-
-    cost = policy_cost(t, state.admitted.values(), state.placement)
+    loads = account(t, state.admitted.values(), state.placement)
+    sites = [t.sites[sid] for sid in sorted(t.sites)]
+    gpus = [(f"{s.id}/{g.id}", (s.id, g.id), g)
+            for s in sites for g in sorted(s.gpus, key=lambda g: g.id)]
     return MetricsSnapshot(
-        cpu_used=cpu_used, cpu_capacity=cpu_cap,
-        gpu_mem_used=gpu_mem_used, gpu_mem_capacity=gpu_mem_cap,
-        gpu_compute_used=gpu_comp_used, gpu_compute_capacity=gpu_comp_cap,
-        link_traffic_mbps=link_traffic, link_bandwidth_mbps=link_bw,
+        cpu_used={s.id: loads.cpu.get(s.id, 0.0) for s in sites},
+        cpu_capacity={s.id: s.ai_cpu_capacity for s in sites},
+        gpu_mem_used={name: loads.gpu_mem.get(key, 0.0) for name, key, _ in gpus},
+        gpu_mem_capacity={name: g.mem_gb for name, _, g in gpus},
+        gpu_compute_used={name: loads.gpu_comp.get(key, 0.0) for name, key, _ in gpus},
+        gpu_compute_capacity={name: g.compute_pct for name, _, g in gpus},
+        link_traffic_mbps={l.key: loads.link.get(l.child, 0.0) for l in t.links},
+        link_bandwidth_mbps={l.key: l.bandwidth_mbps for l in t.links},
         migrations_total=state.migrations_total,
-        quality_loss=cost.quality_loss, traffic_cost=cost.traffic_cost,
+        quality_loss=loads.quality_loss, traffic_cost=loads.traffic_cost,
     )
 
 
@@ -160,7 +136,12 @@ def step(state: SimState, event: Event,
         raise ValueError(f"unknown event kind {event.kind!r}")
 
     try:
-        placement = solve(topology, admitted.values(), prev=state.placement, opts=opts)
+        try:
+            placement = solve(topology, admitted.values(), prev=state.placement, opts=opts)
+        except BudgetExceededError:
+            # Too hard to prove within the node budget: take a greedy placement.
+            placement = solve(topology, admitted.values(), prev=state.placement,
+                              opts=replace(opts, solver="greedy"))
     except InfeasibleError:
         # Reject the change; prior placement stays committed.
         new_state = replace(state, time=event.at)

@@ -89,11 +89,21 @@ class Link:
 
 @dataclass(frozen=True)
 class Topology:
+    """Validated site tree.
+
+    Each site pair's path is computed once, on first use, as
+    (links, cost, latency_ms); the memo holds nothing but those pure
+    results, so a Topology stays safe to share.  Load maps key a link by
+    its child site id, which a tree makes unique.
+    """
+
     sites: dict[str, Site]
     links: tuple[Link, ...]
     root: str
     _parent_link: dict[str, Link] = field(repr=False, default_factory=dict)
     _depth: dict[str, int] = field(repr=False, default_factory=dict)
+    _paths: dict[tuple[str, str], tuple[tuple[Link, ...], float, float]] = field(
+        repr=False, compare=False, default_factory=dict)
 
     def site(self, site_id: str) -> Site:
         try:
@@ -101,29 +111,38 @@ class Topology:
         except KeyError:
             raise UnknownSite(site_id) from None
 
+    def path(self, a: str, b: str) -> tuple[tuple[Link, ...], float, float]:
+        """(links, cost, latency_ms) of the unique tree path a -> b, memoized."""
+        info = self._paths.get((a, b))
+        if info is None:
+            self.site(a)
+            self.site(b)
+            up_a: list[Link] = []
+            up_b: list[Link] = []
+            x, y = a, b
+            while x != y:
+                if self._depth[x] >= self._depth[y]:
+                    link = self._parent_link[x]
+                    up_a.append(link)
+                    x = link.parent
+                else:
+                    link = self._parent_link[y]
+                    up_b.append(link)
+                    y = link.parent
+            links = tuple(up_a + up_b[::-1])
+            info = (links, sum(l.cost_weight for l in links), sum(l.latency_ms for l in links))
+            self._paths[(a, b)] = info
+        return info
+
     def route(self, a: str, b: str) -> list[Link]:
         """Links on the unique tree path a -> b (empty iff a == b)."""
-        self.site(a)
-        self.site(b)
-        up_a: list[Link] = []
-        up_b: list[Link] = []
-        x, y = a, b
-        while x != y:
-            if self._depth[x] >= self._depth[y]:
-                link = self._parent_link[x]
-                up_a.append(link)
-                x = link.parent
-            else:
-                link = self._parent_link[y]
-                up_b.append(link)
-                y = link.parent
-        return up_a + list(reversed(up_b))
+        return list(self.path(a, b)[0])
 
     def path_latency_ms(self, a: str, b: str) -> float:
-        return sum(link.latency_ms for link in self.route(a, b))
+        return self.path(a, b)[2]
 
     def path_cost(self, a: str, b: str) -> float:
-        return sum(link.cost_weight for link in self.route(a, b))
+        return self.path(a, b)[1]
 
 
 def build_topology(sites: list[Site], links: list[Link]) -> Topology:

@@ -100,6 +100,16 @@ def test_outputs_byte_deterministic(capsys, tmp_path, fig7_path, fig4_path):
         assert outs[0] == outs[1]
 
 
+def test_run_falls_back_to_greedy_past_node_budget(capsys, tmp_path, fig7_path):
+    # 1000 nodes cannot prove fig7's optimum; each hard event is placed greedily.
+    code, _out, _err = run_cli(capsys, "run", str(fig7_path), "--max-nodes", "1000",
+                               "--out", str(tmp_path))
+    assert code == 0
+    steps = json.loads((tmp_path / "trace.json").read_text())["steps"]
+    assert len(steps) == 4
+    assert all(step["violations"] == [] for step in steps)
+
+
 def test_bench_channel_csv(capsys):
     code, out, _err = run_cli(capsys, "bench-channel", "--capacity", "64",
                               "--payload", "32", "--messages", "5000")

@@ -3,9 +3,8 @@ import random
 import pytest
 
 from edgeorch.appgraph import AppGraph, Block, FlowEdge, ParamKnob, ParamLevel
-from edgeorch.placer import (InfeasibleError, Placement, adapt_params,
-                             check_feasible, plan_actions, policy_cost, solve_exact,
-                             solve_greedy)
+from edgeorch.placer import (InfeasibleError, Placement, check_feasible, plan_actions,
+                             policy_cost, solve_exact, solve_greedy)
 from edgeorch.topology import GpuDevice, Link, Site, build_topology
 
 from instance_gen import enumerate_best, random_instance
@@ -215,7 +214,7 @@ def test_removes_precede_deploys():
     assert kinds == ["Remove", "Deploy"]
 
 
-# -- adapt_params ---------------------------------------------------------------
+# -- knob levels in solve_exact (named after the removed adapt_params alias) ----
 
 def halving_knob():
     return ParamKnob("rate", (ParamLevel(quality=1.0),
@@ -226,14 +225,14 @@ def halving_knob():
 def test_adapt_params_deepens_when_needed():
     t = build_topology([Site("c", "Cloud", 1.0)], [])
     app = AppGraph("a", (Block("b", cpu_req=2.0, params=(halving_knob(),)),), ())
-    p = adapt_params(t, [app])
+    p = solve_exact(t, [app])
     assert p.levels[("b", "rate")] == 1
 
 
 def test_adapt_params_prefers_full_quality():
     t = build_topology([Site("c", "Cloud", 4.0)], [])
     app = AppGraph("a", (Block("b", cpu_req=2.0, params=(halving_knob(),)),), ())
-    p = adapt_params(t, [app])
+    p = solve_exact(t, [app])
     assert p.levels[("b", "rate")] == 0
     assert policy_cost(t, [app], p).quality_loss == 0.0
 
@@ -242,7 +241,7 @@ def test_adapt_params_infeasible_without_knobs():
     t = build_topology([Site("c", "Cloud", 1.0)], [])
     app = AppGraph("a", (Block("b", cpu_req=2.0),), ())
     with pytest.raises(InfeasibleError):
-        adapt_params(t, [app])
+        solve_exact(t, [app])
 
 
 # -- properties -----------------------------------------------------------------

@@ -49,6 +49,20 @@ def test_unresolved_pinned_site(fig7_path):
         parse_scenario(json.dumps(doc))
 
 
+def test_preferred_tier_is_accepted_and_ignored(fig7_path):
+    doc = json.loads(fig7_path.read_text())
+    plain = parse_scenario(json.dumps(doc))
+    doc["apps"][0]["blocks"][-1]["preferred_tier"] = "Cloud"
+    assert parse_scenario(json.dumps(doc)) == plain
+
+
+def test_unknown_preferred_tier_rejected(fig7_path):
+    doc = json.loads(fig7_path.read_text())
+    doc["apps"][0]["blocks"][-1]["preferred_tier"] = "Orbit"
+    with pytest.raises(InvariantViolation):
+        parse_scenario(json.dumps(doc))
+
+
 def test_unknown_key_rejected_in_strict_mode(fig7_path):
     doc = json.loads(fig7_path.read_text())
     doc["topology"]["sites"][0]["color"] = "blue"
