@@ -7,9 +7,12 @@ lexicographic: quality_loss, then traffic_cost, then migrations versus
 the previous placement, then a deterministic block->site tiebreak key.
 
 solve_exact is a branch-and-bound over site assignments, GPU slots and
-knob levels, pruned on the partial-cost lower bound and on residual
-capacity.  solve_greedy is a scalable non-optimal fallback with
-parameter-level deepening and bounded evict-and-replace retries.
+knob levels.  It starts from the greedy placement as its incumbent and
+cuts a node on residual capacity and on an admissible lookahead bound:
+the partial cost plus each unplaced block's least quality loss and least
+traffic to the blocks already placed.  solve_greedy is a scalable
+non-optimal fallback with parameter-level deepening and bounded
+evict-and-replace retries.
 """
 
 from __future__ import annotations
@@ -110,8 +113,9 @@ class Action:
         return out
 
 
-def _lex_less(a: tuple, b: tuple) -> bool:
-    """Lexicographic (qloss, traffic, migrations, tiebreak) with EPS bands.
+def _lex_cmp(a: tuple, b: tuple) -> int:
+    """-1, 0 or 1 as (qloss, traffic, migrations) a is below, level with or
+    above b, the float terms compared with EPS bands.
 
     The running sums accumulate floats in search order, so two placements
     with identical recomputed costs can differ by rounding noise here; a
@@ -119,22 +123,10 @@ def _lex_less(a: tuple, b: tuple) -> bool:
     """
     for i in (0, 1):
         if a[i] < b[i] - EPS:
-            return True
+            return -1
         if a[i] > b[i] + EPS:
-            return False
-    if a[2] != b[2]:
-        return a[2] < b[2]
-    return a[3] < b[3]
-
-
-def _lex_partial_exceeds(partial: tuple, best: tuple) -> bool:
-    """True when a partial (qloss, traffic, migrations) already exceeds best."""
-    for i in (0, 1):
-        if partial[i] > best[i] + EPS:
-            return True
-        if partial[i] < best[i] - EPS:
-            return False
-    return partial[2] > best[2]
+            return 1
+    return (a[2] > b[2]) - (a[2] < b[2])
 
 
 def _sorted_apps(apps) -> list[AppGraph]:
@@ -252,18 +244,22 @@ def policy_cost(topology: Topology, apps, placement: Placement,
     """Lexicographic objective of a (feasible) placement."""
     loads = account(topology, apps, placement)
     blocks = loads.blocks
-    migrations = 0
-    if prev is not None:
-        for bid in blocks:
-            if bid in prev.assignment and prev.site_of(bid) != placement.site_of(bid):
-                migrations += 1
-
     tiebreak = tuple(
         (bid, placement.assignment[bid][0], placement.assignment[bid][1] or "",
          placement.levels_of(blocks[bid][1]))
         for bid in sorted(blocks)
     )
-    return PolicyCost(loads.quality_loss, loads.traffic_cost, migrations, tiebreak)
+    return PolicyCost(loads.quality_loss, loads.traffic_cost,
+                      count_migrations(prev, placement, blocks), tiebreak)
+
+
+def count_migrations(prev: Placement | None, placement: Placement, block_ids) -> int:
+    """How many of block_ids are placed in both prev and placement, on
+    different sites: the one definition of a migration."""
+    if prev is None:
+        return 0
+    return sum(1 for bid in block_ids
+               if bid in prev.assignment and prev.site_of(bid) != placement.site_of(bid))
 
 
 @dataclass
@@ -305,8 +301,10 @@ class _Problem:
 
         site_ids = sorted(topology.sites)
         self.candidates: list[list[tuple[str, str | None]]] = []
+        self.cand_sites: list[list[str]] = []  # the distinct sites among each block's candidates
         for app, b in self.order:
             cands: list[tuple[str, str | None]] = []
+            cand_sites: list[str] = []
             sites = [b.pinned_site] if b.pinned_site is not None else site_ids
             for sid in sites:
                 site = topology.site(sid)
@@ -319,10 +317,14 @@ class _Problem:
                 if not ok:
                     continue
                 if b.needs_gpu:
+                    if not site.gpus:
+                        continue
                     cands.extend((sid, g.id) for g in sorted(site.gpus, key=lambda g: g.id))
                 else:
                     cands.append((sid, None))
+                cand_sites.append(sid)
             self.candidates.append(cands)
+            self.cand_sites.append(cand_sites)
 
         self.combos: list[list[_LevelCombo]] = []
         for app, b in self.order:
@@ -333,6 +335,13 @@ class _Problem:
                                           d.cpu, d.gpu_mem_gb, d.gpu_compute_pct, d.rate_scale))
             combos.sort(key=lambda c: (c.qloss, c.levels))
             self.combos.append(combos)
+
+        # Lookahead bound terms: the least qloss blocks i.. can add (combos
+        # are sorted by qloss) and each block's least rate scale.
+        self.qloss_suffix = [0.0] * (self.n + 1)
+        for i in reversed(range(self.n)):
+            self.qloss_suffix[i] = self.combos[i][0].qloss + self.qloss_suffix[i + 1]
+        self.min_scale = [min(c.rate_scale for c in combos) for combos in self.combos]
 
         # All edges incident to each block as (peer index, block_is_src, rate).
         # An edge's load is added by whichever endpoint is placed second.
@@ -481,14 +490,68 @@ class _State:
             for bid in sorted(prob.index)
         )
 
+    def cut(self, depth: int, best: tuple | None) -> bool:
+        """True when no placement of blocks depth.. next to blocks ..depth-1,
+        as placed, can beat the incumbent's (qloss, traffic, migrations)
+        best: one of them fits nowhere on the residual capacity, or a lower
+        bound on the cost of every such completion exceeds best.
+
+        Each unplaced block adds at least its least qloss and, over its
+        candidate sites, the least traffic of its edges to placed peers at
+        its least rate scale; edges between unplaced blocks add nothing.
+        The traffic term can decide only when the qloss bound ties best's.
+        """
+        prob = self.prob
+        lookahead = False
+        if best is not None:
+            qloss = self.qloss + prob.qloss_suffix[depth]
+            if qloss > best[0] + EPS:
+                return True
+            lookahead = qloss >= best[0] - EPS
+        traffic = self.traffic
+        for j in range(depth, prob.n):
+            if not prob.min_fit_exists(j, self.cpu_used, self.gpu_mem, self.gpu_comp):
+                return True
+            if lookahead:
+                traffic += self.least_traffic_to_placed(j)
+                if traffic > best[1] + EPS:
+                    return True
+        return lookahead and _lex_cmp((qloss, traffic, self.migrations), best) > 0
+
+    def least_traffic_to_placed(self, j: int) -> float:
+        """Least traffic unplaced block j's edges to placed peers can add."""
+        prob = self.prob
+        edges = []
+        for peer, j_is_src, base_rate in prob.incident[j]:
+            peer_site = self.site[peer]
+            if peer_site is not None:
+                rate = base_rate * (prob.min_scale[j] if j_is_src else self.combo[peer].rate_scale)
+                if rate > 0:
+                    edges.append((peer_site, j_is_src, rate))
+        if not edges:
+            return 0.0
+        path = prob.topology.path
+        least = None
+        for sid in prob.cand_sites[j]:
+            traffic = 0.0
+            for peer_site, j_is_src, rate in edges:
+                traffic += rate * (path(sid, peer_site) if j_is_src else path(peer_site, sid))[1]
+            if least is None or traffic < least:
+                least = traffic
+        return least
+
 
 def solve_exact(topology: Topology, apps, prev: Placement | None = None,
                 opts: SolverOpts | None = None) -> Placement:
     """Lexicographically optimal placement via branch-and-bound.
 
-    Raises InfeasibleError when no assignment satisfies the constraints
-    at any knob level, BudgetExceededError past opts.max_nodes explored
-    nodes.  Deterministic: identical inputs yield identical placements.
+    The greedy solver's placement, when it finds one, is the first
+    incumbent, and a node is cut once a lookahead bound on its cost
+    exceeds the incumbent's (_State.cut).  Raises InfeasibleError when no
+    assignment satisfies the constraints at any knob level,
+    BudgetExceededError past opts.max_nodes explored nodes (the greedy
+    warm start is not counted).  Deterministic: identical inputs yield
+    identical placements.
     """
     opts = opts or SolverOpts()
     prob = _Problem(topology, apps, prev)
@@ -496,25 +559,24 @@ def solve_exact(topology: Topology, apps, prev: Placement | None = None,
         return Placement()
 
     state = _State(prob)
-    best: dict = {"key": None, "placement": None}
+    best = (_greedy_incumbent(prob, opts.max_evictions)
+            or {"cost": None, "tiebreak": None, "placement": None})
     nodes = 0
 
     def dfs(depth: int):
         nonlocal nodes
         if depth == prob.n:
-            key = (state.qloss, state.traffic, state.migrations, state.tiebreak())
-            if best["key"] is None or _lex_less(key, best["key"]):
-                best["key"] = key
-                best["placement"] = state.to_placement()
+            cost = (state.qloss, state.traffic, state.migrations)
+            order = -1 if best["cost"] is None else _lex_cmp(cost, best["cost"])
+            if order > 0:
+                return
+            tiebreak = state.tiebreak()
+            if order == 0 and tiebreak >= best["tiebreak"]:
+                return
+            best.update(cost=cost, tiebreak=tiebreak, placement=state.to_placement())
             return
-        if best["key"] is not None:
-            # Partial cost is a lower bound (remaining qloss/traffic >= 0).
-            if _lex_partial_exceeds((state.qloss, state.traffic, state.migrations),
-                                    best["key"][:3]):
-                return
-        for j in range(depth, prob.n):
-            if not prob.min_fit_exists(j, state.cpu_used, state.gpu_mem, state.gpu_comp):
-                return
+        if state.cut(depth, best["cost"]):
+            return
         for sid, gid in prob.candidates[depth]:
             for combo in prob.combos[depth]:
                 nodes += 1
@@ -531,6 +593,24 @@ def solve_exact(topology: Topology, apps, prev: Placement | None = None,
         raise InfeasibleError("no feasible placement exists",
                               violations=infeasibility_report(topology, apps))
     return best["placement"]
+
+
+def _greedy_incumbent(prob: _Problem, max_evictions: int) -> dict | None:
+    """The greedy placement as a first incumbent for the exact search, or None.
+
+    It is replayed block by block in search order, so its cost is summed
+    the way the search sums a leaf's, and the EPS-banded comparisons treat
+    it as one of the search's own leaves.
+    """
+    greedy, failed = _greedy(prob, max_evictions)
+    if failed is not None:
+        return None
+    state = _State(prob)
+    for i in range(prob.n):
+        if state.try_place(i, greedy.site[i], greedy.gpu[i], greedy.combo[i]) is None:
+            return None
+    return {"cost": (state.qloss, state.traffic, state.migrations),
+            "tiebreak": state.tiebreak(), "placement": state.to_placement()}
 
 
 def infeasibility_report(topology: Topology, apps) -> list[str]:
@@ -567,6 +647,23 @@ def solve_greedy(topology: Topology, apps, prev: Placement | None = None,
     if prob.n == 0:
         return Placement()
 
+    state, failed = _greedy(prob, opts.max_evictions)
+    if failed is not None:
+        raise InfeasibleError(
+            f"greedy could not place block {prob.order[failed][1].id!r}",
+            violations=infeasibility_report(topology, apps))
+
+    placement = state.to_placement()
+    leftover = check_feasible(topology, apps, placement)
+    if leftover:
+        raise InfeasibleError("greedy produced an infeasible placement",
+                              violations=[f"{v.kind}:{v.subject}" for v in leftover])
+    return placement
+
+
+def _greedy(prob: _Problem, max_evictions: int) -> tuple[_State, int | None]:
+    """Greedy's placement loop: the state it leaves and the index of the
+    first block it could not place (None when it placed them all)."""
     state = _State(prob)
     evictions = 0
 
@@ -599,7 +696,7 @@ def solve_greedy(topology: Topology, apps, prev: Placement | None = None,
             victims = [j for j in range(prob.n)
                        if state.site[j] == cand_site and prob.order[j][1].pinned_site is None]
             for j in sorted(victims, key=lambda j: prob.order[j][1].id):
-                if evictions >= opts.max_evictions:
+                if evictions >= max_evictions:
                     return False
                 saved = state.remove(j)
                 opt_i = best_option(i)
@@ -617,16 +714,8 @@ def solve_greedy(topology: Topology, apps, prev: Placement | None = None,
 
     for i in range(prob.n):
         if not place_or_evict(i):
-            raise InfeasibleError(
-                f"greedy could not place block {prob.order[i][1].id!r}",
-                violations=infeasibility_report(topology, apps))
-
-    placement = state.to_placement()
-    leftover = check_feasible(topology, apps, placement)
-    if leftover:
-        raise InfeasibleError("greedy produced an infeasible placement",
-                              violations=[f"{v.kind}:{v.subject}" for v in leftover])
-    return placement
+            return state, i
+    return state, None
 
 
 def solve(topology: Topology, apps, prev: Placement | None = None,

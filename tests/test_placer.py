@@ -1,10 +1,12 @@
 import random
+from dataclasses import replace
 
 import pytest
 
 from edgeorch.appgraph import AppGraph, Block, FlowEdge, ParamKnob, ParamLevel
 from edgeorch.placer import (InfeasibleError, Placement, check_feasible, plan_actions,
                              policy_cost, solve_exact, solve_greedy)
+from edgeorch.simulator import SimState, step
 from edgeorch.topology import GpuDevice, Link, Site, build_topology
 
 from instance_gen import enumerate_best, random_instance
@@ -137,6 +139,19 @@ def test_fig7_case2_swap_to_cloud():
     assert cost.migrations == 10
 
 
+def test_fig7_decisions_prove_within_100_nodes(fig7_scenario):
+    # The greedy incumbent and the lookahead bound settle each of fig7's
+    # exact decisions in at most 100 branch-and-bound nodes.
+    sc = fig7_scenario
+    state = SimState(topology=sc.topology, catalog=dict(sc.apps))
+    for ev in sorted(sc.events, key=lambda e: (e.at, e.seq)):
+        nxt, _actions, _metrics = step(state, ev, opts=sc.policy)
+        p = solve_exact(nxt.topology, nxt.admitted.values(), prev=state.placement,
+                        opts=replace(sc.policy, max_nodes=100))
+        assert p == nxt.placement, ev.label
+        state = nxt
+
+
 def test_infeasible_raises():
     t = build_topology([Site("c", "Cloud", 1.0)], [])
     app = AppGraph("a", (Block("b", cpu_req=2.0),), ())
@@ -264,8 +279,29 @@ def test_exact_matches_enumeration_oracle_sample():
         assert check_feasible(topology, [app], p) == []
 
 
+def test_exact_matches_enumeration_oracle_with_prev():
+    # prev is exact's placement after every site's CPU is halved, so on the
+    # full capacity the optimum weighs moving blocks back against the
+    # migration term; the whole key, tiebreak included, must match.
+    checked = moved = 0
+    for seed in range(60):
+        topology, app = random_instance(seed)
+        cut = build_topology([replace(s, cpu_cores=s.cpu_cores / 2)
+                              for s in topology.sites.values()], list(topology.links))
+        try:
+            prev = solve_exact(cut, [app])
+        except InfeasibleError:
+            continue
+        oracle = enumerate_best(topology, [app], prev=prev)
+        p = solve_exact(topology, [app], prev=prev)
+        assert policy_cost(topology, [app], p, prev=prev).key() == oracle[0].key(), seed
+        checked += 1
+        moved += oracle[0].migrations > 0
+    assert checked >= 40
+    assert moved > 0
+
+
 def test_capacity_monotonicity():
-    from dataclasses import replace
     from edgeorch.topology import build_topology as rebuild
     for seed in range(30):
         topology, app = random_instance(seed + 1000)
