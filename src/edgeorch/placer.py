@@ -12,7 +12,8 @@ cuts a node on residual capacity and on an admissible lookahead bound:
 the partial cost plus each unplaced block's least quality loss and least
 traffic to the blocks already placed.  solve_greedy is a scalable
 non-optimal fallback with parameter-level deepening and bounded
-evict-and-replace retries.
+evict-and-replace retries that scores each probe without applying it.
+Candidate sites are compiled once per block signature (_Problem).
 """
 
 from __future__ import annotations
@@ -262,7 +263,7 @@ def count_migrations(prev: Placement | None, placement: Placement, block_ids) ->
                if bid in prev.assignment and prev.site_of(bid) != placement.site_of(bid))
 
 
-@dataclass
+@dataclass(frozen=True)
 class _LevelCombo:
     levels: tuple[int, ...]
     qloss: float
@@ -299,30 +300,35 @@ class _Problem:
                 bound = app.block(bid).max_source_latency_ms
                 self.lat_reqs[bid] = [(app.block(s).pinned_site, bound) for s in sources]
 
+        # Each block's (site, gpu) candidates and the distinct sites among
+        # them depend only on its pin, tiers, GPU need and latency
+        # requirements: compiled once per such signature, shared as tuples.
         site_ids = sorted(topology.sites)
-        self.candidates: list[list[tuple[str, str | None]]] = []
-        self.cand_sites: list[list[str]] = []  # the distinct sites among each block's candidates
+        compiled: dict[tuple, tuple[tuple, tuple]] = {}  # signature -> (candidates, sites)
+        self.candidates: list[tuple[tuple[str, str | None], ...]] = []
+        self.cand_sites: list[tuple[str, ...]] = []
         for app, b in self.order:
-            cands: list[tuple[str, str | None]] = []
-            cand_sites: list[str] = []
-            sites = [b.pinned_site] if b.pinned_site is not None else site_ids
-            for sid in sites:
-                site = topology.site(sid)
-                if site.tier not in b.allowed_tiers:
-                    continue
-                ok = all(
-                    topology.path_latency_ms(src_site, sid) <= bound + EPS
-                    for src_site, bound in self.lat_reqs.get(b.id, [])
-                )
-                if not ok:
-                    continue
-                if b.needs_gpu:
-                    if not site.gpus:
+            reqs = tuple(self.lat_reqs.get(b.id, ()))
+            signature = (b.pinned_site, b.allowed_tiers, b.needs_gpu, reqs)
+            if signature not in compiled:
+                cands: list[tuple[str, str | None]] = []
+                cand_sites: list[str] = []
+                for sid in [b.pinned_site] if b.pinned_site is not None else site_ids:
+                    site = topology.site(sid)
+                    if site.tier not in b.allowed_tiers:
                         continue
-                    cands.extend((sid, g.id) for g in sorted(site.gpus, key=lambda g: g.id))
-                else:
-                    cands.append((sid, None))
-                cand_sites.append(sid)
+                    if not all(topology.path_latency_ms(src_site, sid) <= bound + EPS
+                               for src_site, bound in reqs):
+                        continue
+                    if b.needs_gpu:
+                        if not site.gpus:
+                            continue
+                        cands.extend((sid, g.id) for g in sorted(site.gpus, key=lambda g: g.id))
+                    else:
+                        cands.append((sid, None))
+                    cand_sites.append(sid)
+                compiled[signature] = (tuple(cands), tuple(cand_sites))
+            cands, cand_sites = compiled[signature]
             self.candidates.append(cands)
             self.cand_sites.append(cand_sites)
 
@@ -431,8 +437,9 @@ class _State:
         self.traffic += sign * traffic_delta
         self.migrations += sign * migr
 
-    def try_place(self, i: int, sid: str, gid: str | None, combo: _LevelCombo):
-        """Check capacity and apply; returns an undo token or None on misfit."""
+    def fits(self, i: int, sid: str, gid: str | None, combo: _LevelCombo):
+        """Token for block i at (sid, gid, combo), or None when it does not fit
+        the residual capacity; changes nothing."""
         prob = self.prob
         site = prob.topology.site(sid)
         if self.cpu_used.get(sid, 0.0) + combo.cpu > site.ai_cpu_capacity + EPS:
@@ -448,7 +455,13 @@ class _State:
         for key, add in token[4].items():
             if self.bw_used.get(key, 0.0) + add > prob.bw_cap[key] + EPS:
                 return None
-        self.apply(token, 1)
+        return token
+
+    def try_place(self, i: int, sid: str, gid: str | None, combo: _LevelCombo):
+        """fits() and apply; returns an undo token or None on misfit."""
+        token = self.fits(i, sid, gid, combo)
+        if token is not None:
+            self.apply(token, 1)
         return token
 
     def undo(self, token) -> None:
@@ -668,18 +681,22 @@ def _greedy(prob: _Problem, max_evictions: int) -> tuple[_State, int | None]:
     evictions = 0
 
     def best_option(i: int, forbid_site: str | None = None):
-        """Cheapest feasible (site, gpu, combo) for block i, or None."""
+        """Cheapest feasible (site, gpu, combo) for block i, or None; probes
+        are scored from their tokens without being applied."""
         best_key = None
         best_opt = None
         for sid, gid in prob.candidates[i]:
             if sid == forbid_site:
                 continue
             for combo in prob.combos[i]:
-                token = state.try_place(i, sid, gid, combo)
+                # Combos come sorted by qloss, the key's first term: past the
+                # best key's qloss no later combo at this candidate can win.
+                if best_key is not None and combo.qloss > best_key[0]:
+                    break
+                token = state.fits(i, sid, gid, combo)
                 if token is None:
                     continue
                 key = (combo.qloss, token[5], token[6], sid, gid or "", combo.levels)
-                state.undo(token)
                 if best_key is None or key < best_key:
                     best_key, best_opt = key, (sid, gid, combo)
         return best_opt

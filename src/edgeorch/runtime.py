@@ -63,16 +63,25 @@ class RuntimeState:
     cpu_capacity: float
     gpu_area_capacity: float = 100.0
     admitted: dict[str, RtTask] = field(default_factory=dict)
+    # Exact utilization sums of the admitted Cpu and Gpu tasks.  admit and
+    # release carry them; they are summed from `admitted` when not given.
+    cpu_load: Fraction | None = None
+    gpu_load_pct: Fraction | None = None
 
-    @property
-    def cpu_load(self) -> Fraction:
-        return sum((t.utilization for t in self.admitted.values() if t.kind == "Cpu"),
-                   Fraction(0))
+    def __post_init__(self):
+        tasks = self.admitted.values()
+        if self.cpu_load is None:
+            object.__setattr__(self, "cpu_load", sum(
+                (t.utilization for t in tasks if t.kind == "Cpu"), Fraction(0)))
+        if self.gpu_load_pct is None:
+            object.__setattr__(self, "gpu_load_pct", sum(
+                (t.utilization * 100 for t in tasks if t.kind == "Gpu"), Fraction(0)))
 
-    @property
-    def gpu_load_pct(self) -> Fraction:
-        return sum((t.utilization * 100 for t in self.admitted.values() if t.kind == "Gpu"),
-                   Fraction(0))
+    def _loads_with(self, task: RtTask, sign: int) -> tuple[Fraction, Fraction]:
+        """(cpu_load, gpu_load_pct) once task is added (sign 1) or taken away (-1)."""
+        if task.kind == "Cpu":
+            return self.cpu_load + sign * task.utilization, self.gpu_load_pct
+        return self.cpu_load, self.gpu_load_pct + sign * task.utilization * 100
 
 
 def schedulable(tasks, cores: float) -> bool:
@@ -88,15 +97,16 @@ def admit(state: RuntimeState, task: RtTask) -> RuntimeState:
     """
     if task.id in state.admitted:
         raise AdmissionRejected("DuplicateId")
+    cpu_load, gpu_load = state._loads_with(task, 1)
     if task.kind == "Cpu":
-        if state.cpu_load + task.utilization > Fraction(state.cpu_capacity):
+        if cpu_load > Fraction(state.cpu_capacity):
             raise AdmissionRejected("CpuOver")
     else:
-        if state.gpu_load_pct + task.utilization * 100 > Fraction(state.gpu_area_capacity):
+        if gpu_load > Fraction(state.gpu_area_capacity):
             raise AdmissionRejected("GpuOver")
     new_admitted = dict(state.admitted)
     new_admitted[task.id] = task
-    return replace(state, admitted=new_admitted)
+    return replace(state, admitted=new_admitted, cpu_load=cpu_load, gpu_load_pct=gpu_load)
 
 
 def release(state: RuntimeState, task_id: str) -> RuntimeState:
@@ -104,8 +114,8 @@ def release(state: RuntimeState, task_id: str) -> RuntimeState:
     if task_id not in state.admitted:
         raise UnknownTask(task_id)
     new_admitted = dict(state.admitted)
-    del new_admitted[task_id]
-    return replace(state, admitted=new_admitted)
+    cpu_load, gpu_load = state._loads_with(new_admitted.pop(task_id), -1)
+    return replace(state, admitted=new_admitted, cpu_load=cpu_load, gpu_load_pct=gpu_load)
 
 
 # -- probe -> application data channel ----------------------------------------

@@ -4,7 +4,9 @@ Both solvers keep running CPU, GPU and link loads and costs in a _State;
 check_feasible, policy_cost and the metrics snapshot read account().  For
 each solver's placement on seeded random instances, replaying it through
 _State.try_place must give the kernel's numbers, and remove() followed by
-restore() must leave the state exactly as it was.
+restore() must leave the state exactly as it was.  Greedy scores its probes
+with _State.fits, which must change nothing and return the token that
+try_place would apply.
 """
 
 import copy
@@ -19,11 +21,12 @@ from instance_gen import random_instance
 SEEDS = range(40)
 
 
-def replay(topology, app, placement, prev):
-    """A _State built by placing every block of `placement` in solver order."""
+def replay(topology, app, placement, prev, upto=None):
+    """A _State built by placing the blocks of `placement` in solver order,
+    all of them or the first `upto`."""
     prob = _Problem(topology, [app], prev)
     state = _State(prob)
-    for i, (_app, b) in enumerate(prob.order):
+    for i, (_app, b) in enumerate(prob.order[:upto]):
         sid, gid = placement.assignment[b.id]
         combo = next(c for c in prob.combos[i] if c.levels == placement.levels_of(b))
         assert state.try_place(i, sid, gid, combo) is not None, b.id
@@ -83,3 +86,26 @@ def test_remove_then_restore_is_exact():
                 assert fields(state) == before
                 checked += 1
     assert checked > 0
+
+
+def test_fits_changes_nothing_and_returns_the_applied_token():
+    probes = fitted = 0
+    for seed in SEEDS:
+        topology, app, runs = solved(seed)
+        for placement, prev in runs:
+            half = len(app.blocks) // 2
+            state = replay(topology, app, placement, prev, upto=half)
+            prob = state.prob
+            for i in range(half, prob.n):
+                for sid, gid in prob.candidates[i]:
+                    for combo in prob.combos[i]:
+                        before = fields(state)
+                        token = state.fits(i, sid, gid, combo)
+                        assert fields(state) == before
+                        placed = state.try_place(i, sid, gid, combo)
+                        assert placed == token
+                        if placed is not None:
+                            state.undo(placed)
+                            fitted += 1
+                        probes += 1
+    assert fitted > 0 and probes > fitted

@@ -96,6 +96,30 @@ def test_admission_invariant_random_sequences():
             assert s.cpu_load <= Fraction(cap)
 
 
+def test_carried_loads_equal_a_fresh_sum():
+    """admit and release carry the load sums instead of re-summing every
+    admitted task; after a long mixed sequence, with CPU and GPU asks both
+    refused at times, they still equal the sums recomputed from the
+    admitted set, exactly."""
+    rng = random.Random(7)
+    s = RuntimeState(cpu_capacity=2.0, gpu_area_capacity=100.0)
+    for step in range(2000):
+        if s.admitted and rng.random() < 0.45:
+            s = release(s, rng.choice(sorted(s.admitted)))
+        else:
+            kind = "Gpu" if rng.random() < 0.25 else "Cpu"
+            period = rng.choice((1000, 2000, 2500, 5000, 7000))
+            try:
+                s = admit(s, RtTask(f"t{step}", rng.randint(1, period // 20), period, kind))
+            except AdmissionRejected:
+                pass
+    fresh = RuntimeState(cpu_capacity=2.0, gpu_area_capacity=100.0, admitted=s.admitted)
+    assert any(t.kind == "Cpu" for t in s.admitted.values())
+    assert any(t.kind == "Gpu" for t in s.admitted.values())
+    assert s.cpu_load == fresh.cpu_load
+    assert s.gpu_load_pct == fresh.gpu_load_pct
+
+
 # -- channel --------------------------------------------------------------------
 
 def test_channel_capacity_must_be_power_of_two():
