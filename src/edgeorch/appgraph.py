@@ -3,12 +3,14 @@
 An app is a DAG of blocks.  Pinned blocks model data sources fixed at a
 site; the remaining blocks are free to place.  Each block may expose
 parameter knobs whose levels trade output quality for lower demand.
-Graphs are immutable once validated.
+Graphs are immutable once validated, so a block's level combos are
+computed once, on first use, and kept on the block.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
+from dataclasses import dataclass, field
 
 from .topology import TIERS
 
@@ -42,10 +44,37 @@ class Block:
     allowed_tiers: tuple[str, ...] = TIERS
     pinned_site: str | None = None
     params: tuple[ParamKnob, ...] = ()
+    _level_combos: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def needs_gpu(self) -> bool:
         return self.gpu_mem_gb > 0 or self.gpu_compute_pct > 0
+
+    def level_combos(self) -> tuple[tuple[LevelCombo, ...], tuple[tuple[LevelCombo, ...], ...]]:
+        """Every choice of one level per knob sorted by (qloss, levels), and the
+        same split into runs of equal qloss; computed once, into a declared
+        field: an instance __dict__ (cached_property's) slows every read."""
+        if self._level_combos is None:
+            combos = []
+            for idxs in itertools.product(*(range(len(k.levels)) for k in self.params)):
+                d = effective_demand(self, idxs)
+                combos.append(LevelCombo(idxs, quality_loss(self, idxs),
+                                         d.cpu, d.gpu_mem_gb, d.gpu_compute_pct, d.rate_scale))
+            combos = tuple(sorted(combos, key=lambda c: (c.qloss, c.levels)))
+            groups = tuple(tuple(g) for _, g in itertools.groupby(combos, key=lambda c: c.qloss))
+            object.__setattr__(self, "_level_combos", (combos, groups))
+        return self._level_combos
+
+
+@dataclass(frozen=True)
+class LevelCombo:
+    """One level per knob of a block, with its quality loss and demands."""
+    levels: tuple[int, ...]
+    qloss: float
+    cpu: float
+    gpu_mem: float
+    gpu_comp: float
+    rate_scale: float
 
 
 @dataclass(frozen=True)
@@ -80,12 +109,6 @@ class AppGraph:
             if b.id == block_id:
                 return b
         raise KeyError(block_id)
-
-    def out_edges(self, block_id: str) -> list[FlowEdge]:
-        return [e for e in self.edges if e.src == block_id]
-
-    def pinned_blocks(self) -> list[Block]:
-        return [b for b in self.blocks if b.pinned_site is not None]
 
     def ancestors(self, block_id: str) -> set[str]:
         incoming: dict[str, list[str]] = {b.id: [] for b in self.blocks}

@@ -12,16 +12,16 @@ cuts a node on residual capacity and on an admissible lookahead bound:
 the partial cost plus each unplaced block's least quality loss and least
 traffic to the blocks already placed.  solve_greedy is a scalable
 non-optimal fallback with parameter-level deepening and bounded
-evict-and-replace retries that scores each probe without applying it.
-Candidate sites are compiled once per block signature (_Problem).
+evict-and-replace retries; it probes each block's options in key order
+and keeps the first that fits.  Per event, _Problem compiles candidate
+sites once per block signature; level combos are compiled once per Block.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
-from .appgraph import (AppGraph, Block, DemandVector, effective_demand, quality_loss,
+from .appgraph import (AppGraph, Block, DemandVector, LevelCombo, effective_demand, quality_loss,
                        source_latency_requirements)
 from .topology import Topology
 
@@ -263,16 +263,6 @@ def count_migrations(prev: Placement | None, placement: Placement, block_ids) ->
                if bid in prev.assignment and prev.site_of(bid) != placement.site_of(bid))
 
 
-@dataclass(frozen=True)
-class _LevelCombo:
-    levels: tuple[int, ...]
-    qloss: float
-    cpu: float
-    gpu_mem: float
-    gpu_comp: float
-    rate_scale: float
-
-
 class _Problem:
     """Shared precomputation for both solvers."""
 
@@ -332,15 +322,8 @@ class _Problem:
             self.candidates.append(cands)
             self.cand_sites.append(cand_sites)
 
-        self.combos: list[list[_LevelCombo]] = []
-        for app, b in self.order:
-            combos = []
-            for idxs in itertools.product(*(range(len(k.levels)) for k in b.params)):
-                d = effective_demand(b, idxs)
-                combos.append(_LevelCombo(idxs, quality_loss(b, idxs),
-                                          d.cpu, d.gpu_mem_gb, d.gpu_compute_pct, d.rate_scale))
-            combos.sort(key=lambda c: (c.qloss, c.levels))
-            self.combos.append(combos)
+        self.combos = [b.level_combos()[0] for _app, b in self.order]
+        self.qloss_groups = [b.level_combos()[1] for _app, b in self.order]
 
         # Lookahead bound terms: the least qloss blocks i.. can add (combos
         # are sorted by qloss) and each block's least rate scale.
@@ -358,7 +341,19 @@ class _Problem:
                 self.incident[i].append((j, True, e.rate_mbps))
                 self.incident[j].append((i, False, e.rate_mbps))
 
+        self.cost_rows: dict[tuple[str, bool], dict[str, float]] = {}
         self.prev_site = {bid: prev.site_of(bid) for bid in prev.assignment} if prev else {}
+
+    def cost_row(self, peer_site: str, from_sites: bool) -> dict[str, float]:
+        """Site id -> cost of the path from it to peer_site (from_sites) or
+        from peer_site to it; built once per event."""
+        row = self.cost_rows.get((peer_site, from_sites))
+        if row is None:
+            path = self.topology.path
+            row = self.cost_rows[(peer_site, from_sites)] = {
+                sid: (path(sid, peer_site) if from_sites else path(peer_site, sid))[1]
+                for sid in self.topology.sites}
+        return row
 
     def min_fit_exists(self, i: int, cpu_used, gpu_mem, gpu_comp) -> bool:
         """True if block i fits somewhere on residual capacity alone."""
@@ -392,7 +387,7 @@ class _State:
         self.prob = prob
         self.site: list[str | None] = [None] * prob.n
         self.gpu: list[str | None] = [None] * prob.n
-        self.combo: list[_LevelCombo | None] = [None] * prob.n
+        self.combo: list[LevelCombo | None] = [None] * prob.n
         self.cpu_used: dict[str, float] = {}
         self.gpu_mem: dict[tuple[str, str], float] = {}
         self.gpu_comp: dict[tuple[str, str], float] = {}
@@ -401,7 +396,7 @@ class _State:
         self.traffic = 0.0
         self.migrations = 0
 
-    def token(self, i: int, sid: str, gid: str | None, combo: _LevelCombo) -> tuple:
+    def token(self, i: int, sid: str, gid: str | None, combo: LevelCombo) -> tuple:
         """Token for block i at (sid, gid, combo): the link loads and traffic its
         edges to placed peers add, and whether it migrates."""
         prob = self.prob
@@ -437,7 +432,7 @@ class _State:
         self.traffic += sign * traffic_delta
         self.migrations += sign * migr
 
-    def fits(self, i: int, sid: str, gid: str | None, combo: _LevelCombo):
+    def fits(self, i: int, sid: str, gid: str | None, combo: LevelCombo):
         """Token for block i at (sid, gid, combo), or None when it does not fit
         the residual capacity; changes nothing."""
         prob = self.prob
@@ -457,7 +452,37 @@ class _State:
                 return None
         return token
 
-    def try_place(self, i: int, sid: str, gid: str | None, combo: _LevelCombo):
+    def best_option(self, i: int):
+        """Token of block i's fitting option with the least key (qloss,
+        traffic, migration, site, gpu, levels), or None; changes nothing.
+        Options are probed in key order, one qloss group at a time; traffic
+        is summed as token() sums it, so keys compare as the tokens' would."""
+        prob = self.prob
+        peers = [(prob.cost_row(self.site[peer], i_is_src), i_is_src, base_rate, self.combo[peer])
+                 for peer, i_is_src, base_rate in prob.incident[i] if self.site[peer] is not None]
+        prev_site = prob.prev_site.get(prob.order[i][1].id)
+        for group in prob.qloss_groups[i]:
+            options = []
+            for combo in group:
+                traffic = {}
+                for sid in prob.cand_sites[i]:
+                    t = 0.0
+                    for costs, i_is_src, base_rate, peer_combo in peers:
+                        rate = base_rate * (combo.rate_scale if i_is_src else peer_combo.rate_scale)
+                        if rate > 0:
+                            t += rate * costs[sid]
+                    traffic[sid] = t
+                options.extend((traffic[sid], 1 if prev_site not in (None, sid) else 0,
+                                sid, gid or "", combo.levels, gid, combo)
+                               for sid, gid in prob.candidates[i])
+            options.sort()  # (site, gpu, levels) is unique: gid and combo are never compared
+            for _t, _migr, sid, _g, _levels, gid, combo in options:
+                token = self.fits(i, sid, gid, combo)
+                if token is not None:
+                    return token
+        return None
+
+    def try_place(self, i: int, sid: str, gid: str | None, combo: LevelCombo):
         """fits() and apply; returns an undo token or None on misfit."""
         token = self.fits(i, sid, gid, combo)
         if token is not None:
@@ -540,15 +565,14 @@ class _State:
             if peer_site is not None:
                 rate = base_rate * (prob.min_scale[j] if j_is_src else self.combo[peer].rate_scale)
                 if rate > 0:
-                    edges.append((peer_site, j_is_src, rate))
+                    edges.append((prob.cost_row(peer_site, j_is_src), rate))
         if not edges:
             return 0.0
-        path = prob.topology.path
         least = None
         for sid in prob.cand_sites[j]:
             traffic = 0.0
-            for peer_site, j_is_src, rate in edges:
-                traffic += rate * (path(sid, peer_site) if j_is_src else path(peer_site, sid))[1]
+            for costs, rate in edges:
+                traffic += rate * costs[sid]
             if least is None or traffic < least:
                 least = traffic
         return least
@@ -680,32 +704,11 @@ def _greedy(prob: _Problem, max_evictions: int) -> tuple[_State, int | None]:
     state = _State(prob)
     evictions = 0
 
-    def best_option(i: int, forbid_site: str | None = None):
-        """Cheapest feasible (site, gpu, combo) for block i, or None; probes
-        are scored from their tokens without being applied."""
-        best_key = None
-        best_opt = None
-        for sid, gid in prob.candidates[i]:
-            if sid == forbid_site:
-                continue
-            for combo in prob.combos[i]:
-                # Combos come sorted by qloss, the key's first term: past the
-                # best key's qloss no later combo at this candidate can win.
-                if best_key is not None and combo.qloss > best_key[0]:
-                    break
-                token = state.fits(i, sid, gid, combo)
-                if token is None:
-                    continue
-                key = (combo.qloss, token[5], token[6], sid, gid or "", combo.levels)
-                if best_key is None or key < best_key:
-                    best_key, best_opt = key, (sid, gid, combo)
-        return best_opt
-
     def place_or_evict(i: int) -> bool:
         nonlocal evictions
-        opt = best_option(i)
-        if opt is not None:
-            state.try_place(i, *opt)
+        token = state.best_option(i)
+        if token is not None:
+            state.apply(token, 1)
             return True
         # Evict-and-replace: move one already-placed block off a candidate
         # site, retry, and re-place the victim elsewhere.
@@ -716,12 +719,12 @@ def _greedy(prob: _Problem, max_evictions: int) -> tuple[_State, int | None]:
                 if evictions >= max_evictions:
                     return False
                 saved = state.remove(j)
-                opt_i = best_option(i)
-                if opt_i is not None:
-                    placed_i = state.try_place(i, *opt_i)
-                    opt_j = best_option(j)
-                    if opt_j is not None:
-                        state.try_place(j, *opt_j)
+                placed_i = state.best_option(i)
+                if placed_i is not None:
+                    state.apply(placed_i, 1)
+                    placed_j = state.best_option(j)
+                    if placed_j is not None:
+                        state.apply(placed_j, 1)
                         evictions += 1
                         return True
                     # could not re-place the victim; roll back

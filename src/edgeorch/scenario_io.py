@@ -86,10 +86,14 @@ def _require(obj: dict, key: str, path: str):
     return obj[key]
 
 
+def _reject_constant(token: str):
+    raise ScenarioError(f"{token} is not a finite number; scenarios may not hold it")
+
+
 def parse_scenario(text: str, lax: bool = False) -> Scenario:
     """Parse and validate a scenario document."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise ScenarioSyntaxError(exc.lineno, exc.colno, exc.msg) from None
     if not isinstance(doc, dict):

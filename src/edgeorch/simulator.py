@@ -17,9 +17,9 @@ from .appgraph import AppGraph
 from .placer import (Action, BudgetExceededError, InfeasibleError, Placement, SolverOpts,
                      account, check_feasible, count_migrations, plan_actions, solve)
 # Not called here: the benchmark's tracer (bench/tracing.py) wraps
-# simulator.policy_cost by name.
+# simulator.policy_cost and simulator.build_topology by name.
 from .placer import policy_cost  # noqa: F401
-from .topology import Topology, build_topology
+from .topology import NonPositiveCapacity, Topology, build_topology  # noqa: F401
 
 
 class UnknownApp(KeyError):
@@ -106,12 +106,15 @@ def snapshot(state: SimState) -> MetricsSnapshot:
 
 def apply_capacity_delta(topology: Topology, site_id: str, resource: str,
                          amount: float) -> Topology:
+    """The tree with one site's CPU cores changed by amount.  Cores change no
+    route, cost or latency, so it shares the input's links and path table."""
     site = topology.site(site_id)
     if resource != "cpu_cores":
         raise ValueError(f"unsupported capacity resource {resource!r}")
-    new_site = replace(site, cpu_cores=site.cpu_cores + amount)
-    sites = [new_site if s.id == site_id else s for s in topology.sites.values()]
-    return build_topology(sites, list(topology.links))
+    cores = site.cpu_cores + amount
+    if not cores >= 0:  # as build_topology checks it: NaN fails too
+        raise NonPositiveCapacity(f"site {site_id}: cpu_cores < 0")
+    return replace(topology, sites={**topology.sites, site_id: replace(site, cpu_cores=cores)})
 
 
 def step(state: SimState, event: Event,

@@ -93,7 +93,8 @@ class Topology:
 
     Each site pair's path is computed once, on first use, as
     (links, cost, latency_ms); the memo holds nothing but those pure
-    results, so a Topology stays safe to share.  Load maps key a link by
+    results, so a Topology stays safe to share, and a tree that differs
+    only in capacities may share it too.  Load maps key a link by
     its child site id, which a tree makes unique.
     """
 
@@ -149,7 +150,8 @@ def build_topology(sites: list[Site], links: list[Link]) -> Topology:
     """Validate sites/links and return an immutable Topology.
 
     Raises DuplicateSiteId, DanglingLink, NotATree, TierOrderViolation or
-    NonPositiveCapacity on any invariant violation.
+    NonPositiveCapacity on any invariant violation; a NaN capacity, latency
+    or cost fails its check.
     """
     site_map: dict[str, Site] = {}
     for s in sites:
@@ -157,7 +159,7 @@ def build_topology(sites: list[Site], links: list[Link]) -> Topology:
             raise DuplicateSiteId(s.id)
         if s.tier not in _TIER_RANK:
             raise TierOrderViolation(f"unknown tier {s.tier!r} on site {s.id}")
-        if s.cpu_cores < 0:
+        if not s.cpu_cores >= 0:
             raise NonPositiveCapacity(f"site {s.id}: cpu_cores < 0")
         if not 0.0 <= s.ai_cpu_reserve <= 1.0:
             raise NonPositiveCapacity(f"site {s.id}: ai_cpu_reserve outside [0, 1]")
@@ -166,9 +168,9 @@ def build_topology(sites: list[Site], links: list[Link]) -> Topology:
             if g.id in seen_gpus:
                 raise DuplicateSiteId(f"site {s.id}: duplicate gpu id {g.id}")
             seen_gpus.add(g.id)
-            if g.mem_gb <= 0:
+            if not g.mem_gb > 0:
                 raise NonPositiveCapacity(f"gpu {s.id}/{g.id}: mem_gb <= 0")
-            if g.compute_pct <= 0:
+            if not g.compute_pct > 0:
                 raise NonPositiveCapacity(f"gpu {s.id}/{g.id}: compute_pct <= 0")
         site_map[s.id] = s
 
@@ -179,11 +181,11 @@ def build_topology(sites: list[Site], links: list[Link]) -> Topology:
     for link in links:
         if link.child not in site_map or link.parent not in site_map:
             raise DanglingLink(link.key)
-        if link.bandwidth_mbps <= 0:
+        if not link.bandwidth_mbps > 0:
             raise NonPositiveCapacity(f"link {link.key}: bandwidth_mbps <= 0")
-        if link.latency_ms < 0:
+        if not link.latency_ms >= 0:
             raise NonPositiveCapacity(f"link {link.key}: latency_ms < 0")
-        if link.cost_weight < 0:
+        if not link.cost_weight >= 0:
             raise NonPositiveCapacity(f"link {link.key}: cost_weight < 0")
         if link.child in parent_link:
             raise NotATree(f"site {link.child} has multiple parent links")

@@ -2,8 +2,8 @@ import json
 
 import pytest
 
-from edgeorch.scenario_io import (InvariantViolation, ScenarioSyntaxError, UnknownKey,
-                                  UnresolvedReference, parse_scenario, read_report,
+from edgeorch.scenario_io import (InvariantViolation, ScenarioError, ScenarioSyntaxError,
+                                  UnknownKey, UnresolvedReference, parse_scenario, read_report,
                                   rows_to_csv, serialize_scenario,
                                   trace_rows, write_report)
 from edgeorch.simulator import SimTrace, run
@@ -162,3 +162,12 @@ def test_three_decimal_formatting(fig7_scenario):
                 continue
             whole, frac = value.split(".")
             assert len(frac) == 3
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_numbers_are_refused(fig4_path, token):
+    text = fig4_path.read_text()
+    root_cores = '"cpu_cores": 64.0'
+    assert text.count(root_cores) == 1
+    with pytest.raises(ScenarioError, match=token):
+        parse_scenario(text.replace(root_cores, f'"cpu_cores": {token}'))

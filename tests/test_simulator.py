@@ -1,8 +1,9 @@
 import pytest
 
 from edgeorch.appgraph import AppGraph, Block
-from edgeorch.simulator import Event, SimState, UnknownApp, run, snapshot, step
-from edgeorch.topology import GpuDevice, Link, Site, build_topology
+from edgeorch.simulator import (Event, SimState, UnknownApp, apply_capacity_delta, run,
+                                 snapshot, step)
+from edgeorch.topology import GpuDevice, Link, NonPositiveCapacity, Site, build_topology
 
 
 def tiny_topology():
@@ -144,3 +145,30 @@ def test_snapshot_conservation_after_departure():
     state, _, m = step(state, Event(2.0, "departure", app="a"))
     fresh = snapshot(state)
     assert m == fresh  # residuals equal recomputation from scratch
+
+
+def test_capacity_delta_keeps_the_tree_and_its_path_table(fig4_scenario):
+    topology = fig4_scenario.topology
+    topology.path("far", "cloud")
+    cores = {sid: s.cpu_cores for sid, s in topology.sites.items()}
+    dipped = apply_capacity_delta(topology, "near", "cpu_cores", -2.5)
+    assert {sid: s.cpu_cores for sid, s in topology.sites.items()} == cores
+    assert dipped.sites["near"].cpu_cores == cores["near"] - 2.5
+    assert [s for sid, s in dipped.sites.items() if sid != "near"] == \
+        [s for sid, s in topology.sites.items() if sid != "near"]
+    assert list(dipped.sites) == list(topology.sites)
+    assert dipped.links is topology.links
+    assert dipped._paths is topology._paths
+    assert dipped.path("far", "cloud") is topology.path("far", "cloud")
+    # What a rebuild from scratch gives, bar the path table.
+    assert dipped == build_topology(list(dipped.sites.values()), list(dipped.links))
+
+
+def test_capacity_delta_below_zero_or_nan_raises(fig4_scenario):
+    topology = fig4_scenario.topology
+    cores = topology.sites["near"].cpu_cores
+    assert apply_capacity_delta(topology, "near", "cpu_cores", -cores).sites["near"].cpu_cores == 0
+    for amount in (-cores - 0.001, float("nan")):
+        with pytest.raises(NonPositiveCapacity):
+            apply_capacity_delta(topology, "near", "cpu_cores", amount)
+    assert topology.sites["near"].cpu_cores == cores

@@ -199,3 +199,17 @@ def test_random_mutations_rejected():
             links[0] = Link(links[0].child, "missing", 10.0, 1.0)
         with pytest.raises((TopologyError, KeyError)):
             build_topology(sites, links)
+
+
+@pytest.mark.parametrize("sites, links", [
+    ([Site("a", "Cloud", float("nan"))], []),
+    ([Site("a", "Cloud", 1.0, gpus=(GpuDevice("g", float("nan")),))], []),
+    ([Site("a", "Cloud", 1.0, gpus=(GpuDevice("g", 8.0, float("nan")),))], []),
+    ([Site("a", "Cloud", 1.0), Site("b", "FarEdge", 1.0)], [Link("b", "a", float("nan"), 1.0)]),
+    ([Site("a", "Cloud", 1.0), Site("b", "FarEdge", 1.0)], [Link("b", "a", 10.0, float("nan"))]),
+    ([Site("a", "Cloud", 1.0), Site("b", "FarEdge", 1.0)],
+     [Link("b", "a", 10.0, 1.0, float("nan"))]),
+])
+def test_nan_capacities_latencies_and_costs_are_refused(sites, links):
+    with pytest.raises(NonPositiveCapacity):
+        build_topology(sites, links)
