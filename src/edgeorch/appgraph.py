@@ -3,8 +3,9 @@
 An app is a DAG of blocks.  Pinned blocks model data sources fixed at a
 site; the remaining blocks are free to place.  Each block may expose
 parameter knobs whose levels trade output quality for lower demand.
-Graphs are immutable once validated, so a block's level combos are
-computed once, on first use, and kept on the block.
+Graphs are immutable, so each block's level combos and each app's latency
+requirements are compiled once, on first use, into a declared field: an
+instance __dict__ (functools.cached_property's) would slow every read.
 """
 
 from __future__ import annotations
@@ -50,20 +51,36 @@ class Block:
     def needs_gpu(self) -> bool:
         return self.gpu_mem_gb > 0 or self.gpu_compute_pct > 0
 
-    def level_combos(self) -> tuple[tuple[LevelCombo, ...], tuple[tuple[LevelCombo, ...], ...]]:
-        """Every choice of one level per knob sorted by (qloss, levels), and the
-        same split into runs of equal qloss; computed once, into a declared
-        field: an instance __dict__ (cached_property's) slows every read."""
+    def level_combos(self) -> tuple[tuple[LevelCombo, ...], tuple, dict[tuple, LevelCombo]]:
+        """Every choice of one level per knob sorted by (qloss, levels), the same
+        in runs of equal qloss, and by levels; computed once.  Demands are the
+        base times the levels' multipliers, multiplied in knob order, and qloss
+        sums 1 - quality; rate_scale multiplies the outgoing edge rates."""
         if self._level_combos is None:
             combos = []
             for idxs in itertools.product(*(range(len(k.levels)) for k in self.params)):
-                d = effective_demand(self, idxs)
-                combos.append(LevelCombo(idxs, quality_loss(self, idxs),
-                                         d.cpu, d.gpu_mem_gb, d.gpu_compute_pct, d.rate_scale))
+                cpu_m = mem_m = comp_m = rate_m = 1.0
+                loss = 0.0
+                for knob, idx in zip(self.params, idxs):
+                    lv = knob.levels[idx]
+                    cpu_m *= lv.cpu_mult
+                    mem_m *= lv.gpu_mem_mult
+                    comp_m *= lv.gpu_compute_mult
+                    rate_m *= lv.rate_mult
+                    loss += 1.0 - lv.quality
+                combos.append(LevelCombo(idxs, loss, self.cpu_req * cpu_m, self.gpu_mem_gb * mem_m,
+                                         self.gpu_compute_pct * comp_m, rate_m))
             combos = tuple(sorted(combos, key=lambda c: (c.qloss, c.levels)))
             groups = tuple(tuple(g) for _, g in itertools.groupby(combos, key=lambda c: c.qloss))
-            object.__setattr__(self, "_level_combos", (combos, groups))
+            object.__setattr__(self, "_level_combos", (combos, groups, {c.levels: c for c in combos}))
         return self._level_combos
+
+    def combo(self, levels: tuple[int, ...]) -> LevelCombo:
+        """The compiled combo at one level index per knob."""
+        try:
+            return self.level_combos()[2][levels]
+        except KeyError:
+            raise LevelOutOfRange(f"{self.id}: no level combo {levels!r}") from None
 
 
 @dataclass(frozen=True)
@@ -85,14 +102,6 @@ class FlowEdge:
 
 
 @dataclass(frozen=True)
-class DemandVector:
-    cpu: float
-    gpu_mem_gb: float
-    gpu_compute_pct: float
-    rate_scale: float  # multiplier on the block's outgoing edge rates
-
-
-@dataclass(frozen=True)
 class GraphViolation:
     kind: str  # CycleDetected | UnknownEndpoint | EmptyGraph | DuplicateBlockId | UnreachableBlock | BadKnob
     detail: str
@@ -103,27 +112,30 @@ class AppGraph:
     id: str
     blocks: tuple[Block, ...]
     edges: tuple[FlowEdge, ...]
+    _latency_requirements: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
-    def block(self, block_id: str) -> Block:
-        for b in self.blocks:
-            if b.id == block_id:
-                return b
-        raise KeyError(block_id)
-
-    def ancestors(self, block_id: str) -> set[str]:
-        incoming: dict[str, list[str]] = {b.id: [] for b in self.blocks}
-        for e in self.edges:
-            if e.dst in incoming:
-                incoming[e.dst].append(e.src)
-        seen: set[str] = set()
-        stack = list(incoming.get(block_id, []))
-        while stack:
-            x = stack.pop()
-            if x in seen:
-                continue
-            seen.add(x)
-            stack.extend(incoming.get(x, []))
-        return seen
+    def latency_requirements(self) -> tuple[tuple[str, float, tuple[tuple[str, str], ...]], ...]:
+        """(block id, bound, ((pinned source id, its site), ...)) per bounded
+        block, in block order, its pinned ancestors sorted by id; computed
+        once.  Edges to unknown blocks (validate_graph refuses them) are skipped."""
+        if self._latency_requirements is None:
+            incoming: dict[str, list[str]] = {b.id: [] for b in self.blocks}
+            for e in self.edges:
+                if e.dst in incoming:
+                    incoming[e.dst].append(e.src)
+            pinned = {b.id: b.pinned_site for b in self.blocks if b.pinned_site is not None}
+            out = []
+            for b in (b for b in self.blocks if b.max_source_latency_ms is not None):
+                seen, stack = set(), list(incoming[b.id])
+                while stack:
+                    x = stack.pop()
+                    if x not in seen:
+                        seen.add(x)
+                        stack.extend(incoming.get(x, ()))
+                out.append((b.id, b.max_source_latency_ms,
+                            tuple((src, pinned[src]) for src in sorted(seen & pinned.keys()))))
+            object.__setattr__(self, "_latency_requirements", tuple(out))
+        return self._latency_requirements
 
 
 def validate_graph(g: AppGraph) -> list[GraphViolation]:
@@ -201,52 +213,4 @@ def validate_graph(g: AppGraph) -> list[GraphViolation]:
                     frontier.append(y)
         for bid in sorted(seen - reach):
             out.append(GraphViolation("UnreachableBlock", bid))
-    return out
-
-
-def effective_demand(b: Block, levels: tuple[int, ...]) -> DemandVector:
-    """Demands of block b with the given level index chosen per knob.
-
-    Base demands are scaled by the elementwise product of the selected
-    level multipliers; rate_scale applies to b's outgoing edge rates.
-    """
-    if len(levels) != len(b.params):
-        raise LevelOutOfRange(f"{b.id}: expected {len(b.params)} level indices, got {len(levels)}")
-    cpu_m = mem_m = comp_m = rate_m = 1.0
-    for knob, idx in zip(b.params, levels):
-        if not 0 <= idx < len(knob.levels):
-            raise LevelOutOfRange(f"{b.id}.{knob.name}: level {idx}")
-        lv = knob.levels[idx]
-        cpu_m *= lv.cpu_mult
-        mem_m *= lv.gpu_mem_mult
-        comp_m *= lv.gpu_compute_mult
-        rate_m *= lv.rate_mult
-    return DemandVector(
-        cpu=b.cpu_req * cpu_m,
-        gpu_mem_gb=b.gpu_mem_gb * mem_m,
-        gpu_compute_pct=b.gpu_compute_pct * comp_m,
-        rate_scale=rate_m,
-    )
-
-
-def quality_loss(b: Block, levels: tuple[int, ...]) -> float:
-    """Total quality forfeited by the chosen levels (0 at full quality)."""
-    if len(levels) != len(b.params):
-        raise LevelOutOfRange(f"{b.id}: expected {len(b.params)} level indices, got {len(levels)}")
-    loss = 0.0
-    for knob, idx in zip(b.params, levels):
-        if not 0 <= idx < len(knob.levels):
-            raise LevelOutOfRange(f"{b.id}.{knob.name}: level {idx}")
-        loss += 1.0 - knob.levels[idx].quality
-    return loss
-
-
-def source_latency_requirements(g: AppGraph) -> dict[str, list[str]]:
-    """Pinned ancestors whose path latency must satisfy each bounded block."""
-    out: dict[str, list[str]] = {}
-    pinned = {b.id for b in g.blocks if b.pinned_site is not None}
-    for b in g.blocks:
-        if b.max_source_latency_ms is None:
-            continue
-        out[b.id] = sorted(g.ancestors(b.id) & pinned)
     return out

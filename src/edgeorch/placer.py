@@ -13,16 +13,21 @@ the partial cost plus each unplaced block's least quality loss and least
 traffic to the blocks already placed.  solve_greedy is a scalable
 non-optimal fallback with parameter-level deepening and bounded
 evict-and-replace retries; it probes each block's options in key order
-and keeps the first that fits.  Per event, _Problem compiles candidate
-sites once per block signature; level combos are compiled once per Block.
+and keeps the first that fits.
+
+The solvers, the audit (check_feasible, policy_cost) and the metrics read
+a block's demands and quality loss only from its compiled LevelCombo
+(Block.combo, Block.level_combos) and an app's latency bounds only from
+AppGraph.latency_requirements(): both are compiled once per catalog
+object.  Per event, _Problem compiles candidate sites once per block
+signature.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .appgraph import (AppGraph, Block, DemandVector, LevelCombo, effective_demand, quality_loss,
-                       source_latency_requirements)
+from .appgraph import AppGraph, Block, LevelCombo
 from .topology import Topology
 
 EPS = 1e-9
@@ -164,7 +169,7 @@ def account(topology: Topology, apps, placement: Placement) -> Loads:
     not match whether it needs a GPU.
     """
     blocks = _all_blocks(apps)
-    demand: dict[str, DemandVector] = {}
+    combos: dict[str, LevelCombo] = {}
     cpu: dict[str, float] = {}
     gpu_mem: dict[tuple[str, str], float] = {}
     gpu_comp: dict[tuple[str, str], float] = {}
@@ -173,16 +178,15 @@ def account(topology: Topology, apps, placement: Placement) -> Loads:
         if bid not in placement.assignment:
             raise ValueError(f"placement is not total: missing block {bid!r}")
         site_id, gpu_id = placement.assignment[bid]
-        levels = placement.levels_of(b)
-        d = demand[bid] = effective_demand(b, levels)
-        qloss += quality_loss(b, levels)
-        cpu[site_id] = cpu.get(site_id, 0.0) + d.cpu
+        c = combos[bid] = b.combo(placement.levels_of(b))
+        qloss += c.qloss
+        cpu[site_id] = cpu.get(site_id, 0.0) + c.cpu
         if b.needs_gpu:
             if gpu_id is None:
                 raise ValueError(f"block {bid!r} requires a GPU slot but has none")
             key = (site_id, gpu_id)
-            gpu_mem[key] = gpu_mem.get(key, 0.0) + d.gpu_mem_gb
-            gpu_comp[key] = gpu_comp.get(key, 0.0) + d.gpu_compute_pct
+            gpu_mem[key] = gpu_mem.get(key, 0.0) + c.gpu_mem
+            gpu_comp[key] = gpu_comp.get(key, 0.0) + c.gpu_comp
         elif gpu_id is not None:
             raise ValueError(f"block {bid!r} does not require a GPU but has slot {gpu_id!r}")
 
@@ -190,7 +194,7 @@ def account(topology: Topology, apps, placement: Placement) -> Loads:
     traffic = 0.0
     for app in _sorted_apps(apps):
         for e in app.edges:
-            rate = e.rate_mbps * demand[e.src].rate_scale
+            rate = e.rate_mbps * combos[e.src].rate_scale
             if rate <= 0:
                 continue
             links, cost, _lat = topology.path(placement.site_of(e.src), placement.site_of(e.dst))
@@ -229,11 +233,9 @@ def check_feasible(topology: Topology, apps, placement: Placement) -> list[Viola
             out.append(Violation("BandwidthOver", link.key, load - link.bandwidth_mbps))
 
     for app in _sorted_apps(apps):
-        reqs = source_latency_requirements(app)
-        for bid, sources in reqs.items():
-            bound = app.block(bid).max_source_latency_ms
+        for bid, bound, sources in app.latency_requirements():
             here = placement.site_of(bid)
-            for src in sources:
+            for src, _pin in sources:
                 lat = topology.path_latency_ms(placement.site_of(src), here)
                 if lat > bound + EPS:
                     out.append(Violation("LatencyOver", f"{src}->{bid}", lat - bound))
@@ -283,12 +285,9 @@ class _Problem:
 
         self.bw_cap = {l.child: l.bandwidth_mbps for l in topology.links}
 
-        # Latency requirements: block id -> list of (pinned source site, bound)
-        self.lat_reqs: dict[str, list[tuple[str, float]]] = {}
-        for app in self.apps:
-            for bid, sources in source_latency_requirements(app).items():
-                bound = app.block(bid).max_source_latency_ms
-                self.lat_reqs[bid] = [(app.block(s).pinned_site, bound) for s in sources]
+        # Latency requirements: block id -> (bound, its pinned sources' sites)
+        lat_reqs = {bid: (bound, tuple(pin for _src, pin in sources))
+                    for app in self.apps for bid, bound, sources in app.latency_requirements()}
 
         # Each block's (site, gpu) candidates and the distinct sites among
         # them depend only on its pin, tiers, GPU need and latency
@@ -298,8 +297,8 @@ class _Problem:
         self.candidates: list[tuple[tuple[str, str | None], ...]] = []
         self.cand_sites: list[tuple[str, ...]] = []
         for app, b in self.order:
-            reqs = tuple(self.lat_reqs.get(b.id, ()))
-            signature = (b.pinned_site, b.allowed_tiers, b.needs_gpu, reqs)
+            bound, src_sites = lat_reqs.get(b.id, (None, ()))
+            signature = (b.pinned_site, b.allowed_tiers, b.needs_gpu, bound, src_sites)
             if signature not in compiled:
                 cands: list[tuple[str, str | None]] = []
                 cand_sites: list[str] = []
@@ -308,7 +307,7 @@ class _Problem:
                     if site.tier not in b.allowed_tiers:
                         continue
                     if not all(topology.path_latency_ms(src_site, sid) <= bound + EPS
-                               for src_site, bound in reqs):
+                               for src_site in src_sites):
                         continue
                     if b.needs_gpu:
                         if not site.gpus:
@@ -489,9 +488,6 @@ class _State:
             self.apply(token, 1)
         return token
 
-    def undo(self, token) -> None:
-        self.apply(token, -1)
-
     def remove(self, i: int):
         """Take placed block i out; returns what restore() needs to put it back."""
         totals = (dict(self.cpu_used), dict(self.gpu_mem), dict(self.gpu_comp),
@@ -623,7 +619,7 @@ def solve_exact(topology: Topology, apps, prev: Placement | None = None,
                 if token is None:
                     continue
                 dfs(depth + 1)
-                state.undo(token)
+                state.apply(token, -1)
 
     dfs(0)
     if best["placement"] is None:
@@ -728,7 +724,7 @@ def _greedy(prob: _Problem, max_evictions: int) -> tuple[_State, int | None]:
                         evictions += 1
                         return True
                     # could not re-place the victim; roll back
-                    state.undo(placed_i)
+                    state.apply(placed_i, -1)
                 state.restore(saved)
         return False
 

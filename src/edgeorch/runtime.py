@@ -84,12 +84,6 @@ class RuntimeState:
         return self.cpu_load, self.gpu_load_pct + sign * task.utilization * 100
 
 
-def schedulable(tasks, cores: float) -> bool:
-    """Utilization-bound test for implicit-deadline tasks: sum(C/T) <= m."""
-    total = sum((t.utilization for t in tasks), Fraction(0))
-    return total <= Fraction(cores)
-
-
 def admit(state: RuntimeState, task: RtTask) -> RuntimeState:
     """Admit task if capacity still holds afterwards; raises AdmissionRejected.
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import io
 import json
 import logging
+import sys
 from dataclasses import dataclass, field
 
 from .appgraph import AppGraph, Block, FlowEdge, ParamKnob, ParamLevel, validate_graph
@@ -86,6 +87,24 @@ def _require(obj: dict, key: str, path: str):
     return obj[key]
 
 
+_REQUIRED = object()
+_FLOAT_MAX = sys.float_info.max
+
+
+def _num(obj: dict, key: str, path: str, default=_REQUIRED):
+    """obj[key] as a float: a finite JSON number, or default if absent (and null
+    where default is None); anything else is refused, naming its JSON path."""
+    v = obj.get(key, default)
+    t = type(v)
+    if (t is float or t is int) and -_FLOAT_MAX <= v <= _FLOAT_MAX:  # NaN fails too
+        return float(v)
+    if v is None and default is None:
+        return None
+    if v is _REQUIRED:
+        raise InvariantViolation(path, f"missing required key {key!r}")
+    raise InvariantViolation(f"{path}.{key}", f"expected a finite number, got {v!r}")
+
+
 def _reject_constant(token: str):
     raise ScenarioError(f"{token} is not a finite number; scenarios may not hold it")
 
@@ -99,7 +118,7 @@ def parse_scenario(text: str, lax: bool = False) -> Scenario:
     if not isinstance(doc, dict):
         raise InvariantViolation("$", "top-level value must be an object")
     _check_keys(doc, _TOP_KEYS, "$", lax)
-    version = _require(doc, "schema_version", "$")
+    version = _num(doc, "schema_version", "$")
     if version != 1:
         raise InvariantViolation("$.schema_version", f"unsupported version {version!r}")
 
@@ -111,17 +130,18 @@ def parse_scenario(text: str, lax: bool = False) -> Scenario:
         _check_keys(s, _SITE_KEYS, path, lax)
         gpus = []
         for j, g in enumerate(s.get("gpus", [])):
-            _check_keys(g, _GPU_KEYS, f"{path}.gpus[{j}]", lax)
-            gpus.append(GpuDevice(id=_require(g, "id", path), mem_gb=float(_require(g, "mem_gb", path))))
+            gpath = f"{path}.gpus[{j}]"
+            _check_keys(g, _GPU_KEYS, gpath, lax)
+            gpus.append(GpuDevice(id=_require(g, "id", gpath), mem_gb=_num(g, "mem_gb", gpath)))
         tier = _require(s, "tier", path)
         if tier not in TIERS:
             raise InvariantViolation(path, f"unknown tier {tier!r}")
         sites.append(Site(
             id=_require(s, "id", path),
             tier=tier,
-            cpu_cores=float(_require(s, "cpu_cores", path)),
+            cpu_cores=_num(s, "cpu_cores", path),
             gpus=tuple(gpus),
-            ai_cpu_reserve=float(s.get("ai_cpu_reserve", 1.0)),
+            ai_cpu_reserve=_num(s, "ai_cpu_reserve", path, 1.0),
         ))
     links = []
     for i, l in enumerate(topo_obj.get("links", [])):
@@ -130,9 +150,9 @@ def parse_scenario(text: str, lax: bool = False) -> Scenario:
         links.append(Link(
             child=_require(l, "child", path),
             parent=_require(l, "parent", path),
-            bandwidth_mbps=float(_require(l, "bandwidth_mbps", path)),
-            latency_ms=float(_require(l, "latency_ms", path)),
-            cost_weight=float(l.get("cost_weight", 1.0)),
+            bandwidth_mbps=_num(l, "bandwidth_mbps", path),
+            latency_ms=_num(l, "latency_ms", path),
+            cost_weight=_num(l, "cost_weight", path, 1.0),
         ))
     try:
         topology = build_topology(sites, links)
@@ -156,13 +176,14 @@ def parse_scenario(text: str, lax: bool = False) -> Scenario:
                 _check_keys(knob, _KNOB_KEYS, kpath, lax)
                 levels = []
                 for m, lv in enumerate(_require(knob, "levels", kpath)):
-                    _check_keys(lv, _LEVEL_KEYS, f"{kpath}.levels[{m}]", lax)
+                    lpath = f"{kpath}.levels[{m}]"
+                    _check_keys(lv, _LEVEL_KEYS, lpath, lax)
                     levels.append(ParamLevel(
-                        quality=float(_require(lv, "quality", kpath)),
-                        cpu_mult=float(lv.get("cpu_mult", 1.0)),
-                        gpu_mem_mult=float(lv.get("gpu_mem_mult", 1.0)),
-                        gpu_compute_mult=float(lv.get("gpu_compute_mult", 1.0)),
-                        rate_mult=float(lv.get("rate_mult", 1.0)),
+                        quality=_num(lv, "quality", lpath),
+                        cpu_mult=_num(lv, "cpu_mult", lpath, 1.0),
+                        gpu_mem_mult=_num(lv, "gpu_mem_mult", lpath, 1.0),
+                        gpu_compute_mult=_num(lv, "gpu_compute_mult", lpath, 1.0),
+                        rate_mult=_num(lv, "rate_mult", lpath, 1.0),
                     ))
                 knobs.append(ParamKnob(name=_require(knob, "name", kpath), levels=tuple(levels)))
             allowed = b.get("allowed_tiers")
@@ -177,13 +198,12 @@ def parse_scenario(text: str, lax: bool = False) -> Scenario:
             pinned = b.get("pinned_site")
             if pinned is not None and pinned not in topology.sites:
                 raise UnresolvedReference(f"{bpath}.pinned_site: {pinned!r}")
-            lat = b.get("max_source_latency_ms")
             blocks.append(Block(
                 id=_require(b, "id", bpath),
-                cpu_req=float(b.get("cpu_req", 0.0)),
-                gpu_mem_gb=float(b.get("gpu_mem_gb", 0.0)),
-                gpu_compute_pct=float(b.get("gpu_compute_pct", 0.0)),
-                max_source_latency_ms=None if lat is None else float(lat),
+                cpu_req=_num(b, "cpu_req", bpath, 0.0),
+                gpu_mem_gb=_num(b, "gpu_mem_gb", bpath, 0.0),
+                gpu_compute_pct=_num(b, "gpu_compute_pct", bpath, 0.0),
+                max_source_latency_ms=_num(b, "max_source_latency_ms", bpath, None),
                 allowed_tiers=TIERS if allowed is None else tuple(allowed),
                 pinned_site=pinned,
                 params=tuple(knobs),
@@ -195,7 +215,7 @@ def parse_scenario(text: str, lax: bool = False) -> Scenario:
             edges.append(FlowEdge(
                 src=_require(e, "from", epath),
                 dst=_require(e, "to", epath),
-                rate_mbps=float(_require(e, "rate_mbps", epath)),
+                rate_mbps=_num(e, "rate_mbps", epath),
             ))
         app = AppGraph(id=app_id, blocks=tuple(blocks), edges=tuple(edges))
         violations = validate_graph(app)
@@ -214,7 +234,7 @@ def parse_scenario(text: str, lax: bool = False) -> Scenario:
         path = f"$.events[{i}]"
         _check_keys(ev, _EVENT_KEYS, path, lax)
         kind = _require(ev, "kind", path)
-        at = float(_require(ev, "at", path))
+        at = _num(ev, "at", path)
         if at < 0:
             raise InvariantViolation(path, "event time must be >= 0")
         if kind in ("arrival", "departure"):
@@ -228,7 +248,7 @@ def parse_scenario(text: str, lax: bool = False) -> Scenario:
                 raise UnresolvedReference(f"{path}.site: {site_id!r}")
             events.append(Event(at=at, kind=kind, site=site_id,
                                 resource=_require(ev, "resource", path),
-                                amount=float(_require(ev, "amount", path)), seq=i))
+                                amount=_num(ev, "amount", path), seq=i))
         else:
             raise InvariantViolation(path, f"unknown event kind {kind!r}")
 
@@ -237,8 +257,8 @@ def parse_scenario(text: str, lax: bool = False) -> Scenario:
     defaults = SolverOpts()
     policy = SolverOpts(
         solver=policy_obj.get("solver", defaults.solver),
-        max_nodes=int(policy_obj.get("max_nodes", defaults.max_nodes)),
-        max_evictions=int(policy_obj.get("max_evictions", defaults.max_evictions)),
+        max_nodes=int(_num(policy_obj, "max_nodes", "$.policy", defaults.max_nodes)),
+        max_evictions=int(_num(policy_obj, "max_evictions", "$.policy", defaults.max_evictions)),
     )
     if policy.solver not in ("exact", "greedy"):
         raise InvariantViolation("$.policy.solver", f"unknown solver {policy.solver!r}")

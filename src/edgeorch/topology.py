@@ -142,9 +142,6 @@ class Topology:
     def path_latency_ms(self, a: str, b: str) -> float:
         return self.path(a, b)[2]
 
-    def path_cost(self, a: str, b: str) -> float:
-        return self.path(a, b)[1]
-
 
 def build_topology(sites: list[Site], links: list[Link]) -> Topology:
     """Validate sites/links and return an immutable Topology.

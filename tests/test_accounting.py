@@ -6,15 +6,18 @@ each solver's placement on seeded random instances, replaying it through
 _State.try_place must give the kernel's numbers, and remove() followed by
 restore() must leave the state exactly as it was.  Greedy scores its probes
 with _State.fits, which must change nothing and return the token that
-try_place would apply.
+try_place would apply.  The kernel itself must equal, exactly, loads and
+costs summed here from the knob levels' multipliers, for any placement.
 """
 
 import copy
+import random
 
 import pytest
 
-from edgeorch.placer import (EPS, InfeasibleError, _Problem, _State, account, policy_cost,
-                             solve_exact, solve_greedy)
+from edgeorch.appgraph import LevelOutOfRange
+from edgeorch.placer import (EPS, InfeasibleError, Placement, _Problem, _State, account,
+                             check_feasible, policy_cost, solve_exact, solve_greedy)
 
 from instance_gen import random_instance
 
@@ -105,7 +108,86 @@ def test_fits_changes_nothing_and_returns_the_applied_token():
                         placed = state.try_place(i, sid, gid, combo)
                         assert placed == token
                         if placed is not None:
-                            state.undo(placed)
+                            state.apply(placed, -1)
                             fitted += 1
                         probes += 1
     assert fitted > 0 and probes > fitted
+
+
+def random_placement(rng, topology, app):
+    """Any slot of the right kind and any level per knob, feasible or not."""
+    assignment, levels = {}, {}
+    for b in app.blocks:
+        sites = [b.pinned_site] if b.pinned_site else sorted(topology.sites)
+        if b.needs_gpu:
+            slots = [(sid, g.id) for sid in sites for g in topology.sites[sid].gpus]
+        else:
+            slots = [(sid, None) for sid in sites]
+        assignment[b.id] = rng.choice(slots)
+        for knob in b.params:
+            levels[(b.id, knob.name)] = rng.randrange(len(knob.levels))
+    return Placement(assignment=assignment, levels=levels)
+
+
+def from_scratch(topology, app, placement):
+    """Loads and costs summed straight from the knob levels' multipliers:
+    each product taken in knob order, each sum in block and edge order."""
+    cpu, gpu_mem, gpu_comp, link, rate_scale = {}, {}, {}, {}, {}
+    qloss = traffic = 0.0
+    for b in app.blocks:
+        cpu_m = mem_m = comp_m = rate_m = 1.0
+        loss = 0.0
+        for knob in b.params:
+            lv = knob.levels[placement.levels.get((b.id, knob.name), 0)]
+            cpu_m *= lv.cpu_mult
+            mem_m *= lv.gpu_mem_mult
+            comp_m *= lv.gpu_compute_mult
+            rate_m *= lv.rate_mult
+            loss += 1.0 - lv.quality
+        qloss += loss
+        rate_scale[b.id] = rate_m
+        sid, gid = placement.assignment[b.id]
+        cpu[sid] = cpu.get(sid, 0.0) + b.cpu_req * cpu_m
+        if gid is not None:
+            gpu_mem[(sid, gid)] = gpu_mem.get((sid, gid), 0.0) + b.gpu_mem_gb * mem_m
+            gpu_comp[(sid, gid)] = gpu_comp.get((sid, gid), 0.0) + b.gpu_compute_pct * comp_m
+    for e in app.edges:
+        rate = e.rate_mbps * rate_scale[e.src]
+        if rate <= 0:
+            continue
+        links, cost, _lat = topology.path(placement.site_of(e.src), placement.site_of(e.dst))
+        traffic += rate * cost
+        for l in links:
+            link[l.child] = link.get(l.child, 0.0) + rate
+    return cpu, gpu_mem, gpu_comp, link, qloss, traffic
+
+
+def test_account_and_policy_cost_equal_a_from_scratch_sum():
+    checked = 0
+    for seed in SEEDS:
+        topology, app = random_instance(seed)
+        rng = random.Random(seed)
+        prev = random_placement(rng, topology, app)
+        for _ in range(5):
+            placement = random_placement(rng, topology, app)
+            cpu, gpu_mem, gpu_comp, link, qloss, traffic = from_scratch(topology, app, placement)
+            loads = account(topology, [app], placement)
+            assert (loads.cpu, loads.gpu_mem, loads.gpu_comp, loads.link) == (cpu, gpu_mem, gpu_comp, link)
+            assert (loads.quality_loss, loads.traffic_cost) == (qloss, traffic)
+            cost = policy_cost(topology, [app], placement, prev=prev)
+            migrations = sum(prev.site_of(b) != placement.site_of(b) for b in placement.assignment)
+            assert (cost.quality_loss, cost.traffic_cost, cost.migrations) == (qloss, traffic, migrations)
+            checked += 1
+    assert checked == 5 * len(SEEDS)
+
+
+def test_check_feasible_refuses_an_out_of_range_level():
+    topology, app = random_instance(0)
+    b = next(b for b in app.blocks if b.params)
+    placement = random_placement(random.Random(0), topology, app)
+    knob = b.params[0]
+    for level in (len(knob.levels), -1):
+        bad = Placement(assignment=placement.assignment,
+                        levels={**placement.levels, (b.id, knob.name): level})
+        with pytest.raises(LevelOutOfRange):
+            check_feasible(topology, [app], bad)

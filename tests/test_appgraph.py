@@ -3,8 +3,7 @@ import random
 import pytest
 
 from edgeorch.appgraph import (AppGraph, Block, FlowEdge, LevelOutOfRange, ParamKnob,
-                               ParamLevel, effective_demand, quality_loss,
-                               source_latency_requirements, validate_graph)
+                               ParamLevel, validate_graph)
 
 
 def knob(name, *mults, qualities=None):
@@ -63,28 +62,28 @@ def test_validation_stable_under_reordering():
 def test_effective_demand_identity_at_level_zero():
     b = Block("b", cpu_req=2.0, gpu_mem_gb=8.0, gpu_compute_pct=40.0,
               params=(knob("k", 0.5),))
-    d = effective_demand(b, (0,))
-    assert (d.cpu, d.gpu_mem_gb, d.gpu_compute_pct, d.rate_scale) == (2.0, 8.0, 40.0, 1.0)
+    d = b.combo((0,))
+    assert (d.cpu, d.gpu_mem, d.gpu_comp, d.rate_scale) == (2.0, 8.0, 40.0, 1.0)
 
 
 def test_effective_demand_single_knob():
     b = Block("b", cpu_req=2.0, params=(knob("k", 0.5),))
-    assert effective_demand(b, (1,)).cpu == 1.0
+    assert b.combo((1,)).cpu == 1.0
 
 
 def test_effective_demand_two_knobs_product():
     b = Block("b", gpu_mem_gb=8.0, params=(knob("k1", 0.5), knob("k2", 0.5)))
     # oracle: product of the selected multipliers
     expected = 8.0 * 0.5 * 0.5
-    assert effective_demand(b, (1, 1)).gpu_mem_gb == expected
+    assert b.combo((1, 1)).gpu_mem == expected
 
 
 def test_level_out_of_range():
     b = Block("b", cpu_req=1.0, params=(knob("k", 0.5),))
     with pytest.raises(LevelOutOfRange):
-        effective_demand(b, (2,))
+        b.combo((2,))
     with pytest.raises(LevelOutOfRange):
-        effective_demand(b, ())
+        b.combo(())
 
 
 def test_effective_demand_monotone_in_levels():
@@ -98,29 +97,29 @@ def test_effective_demand_monotone_in_levels():
         b = Block("b", cpu_req=rng.uniform(0, 4), gpu_mem_gb=rng.uniform(0, 16),
                   gpu_compute_pct=rng.uniform(0, 100), params=knobs)
         levels = [rng.randrange(len(k.levels)) for k in knobs]
-        d0 = effective_demand(b, tuple(levels))
+        d0 = b.combo(tuple(levels))
         i = rng.randrange(len(knobs))
         if levels[i] + 1 >= len(knobs[i].levels):
             continue
         levels[i] += 1
-        d1 = effective_demand(b, tuple(levels))
+        d1 = b.combo(tuple(levels))
         assert d1.cpu <= d0.cpu
-        assert d1.gpu_mem_gb <= d0.gpu_mem_gb
-        assert d1.gpu_compute_pct <= d0.gpu_compute_pct
+        assert d1.gpu_mem <= d0.gpu_mem
+        assert d1.gpu_comp <= d0.gpu_comp
         assert d1.rate_scale <= d0.rate_scale
 
 
 def test_quality_loss_zero_only_at_full_quality():
     knobs = (knob("a", 0.5, 0.25), knob("b", 0.8))
     b = Block("b", cpu_req=1.0, params=knobs)
-    assert quality_loss(b, (0, 0)) == 0.0
+    assert b.combo((0, 0)).qloss == 0.0
     for levels in [(1, 0), (0, 1), (2, 1)]:
-        assert quality_loss(b, levels) > 0.0
+        assert b.combo(levels).qloss > 0.0
 
 
 def test_source_latency_requirements_no_pinned_ancestor():
     g = AppGraph("a", (Block("x", max_source_latency_ms=10.0),), ())
-    assert source_latency_requirements(g) == {"x": []}
+    assert g.latency_requirements() == (("x", 10.0, ()),)
 
 
 def test_source_latency_requirements_chain():
@@ -129,7 +128,7 @@ def test_source_latency_requirements_chain():
         (Block("src", pinned_site="far"), Block("a"), Block("b", max_source_latency_ms=5.0)),
         (FlowEdge("src", "a", 1.0), FlowEdge("a", "b", 1.0)),
     )
-    assert source_latency_requirements(g) == {"b": ["src"]}
+    assert g.latency_requirements() == (("b", 5.0, (("src", "far"),)),)
 
 
 def test_source_latency_requirements_diamond():
@@ -140,7 +139,7 @@ def test_source_latency_requirements_diamond():
         (FlowEdge("s1", "m1", 1.0), FlowEdge("s2", "m2", 1.0),
          FlowEdge("m1", "sink", 1.0), FlowEdge("m2", "sink", 1.0)),
     )
-    assert source_latency_requirements(g) == {"sink": ["s1", "s2"]}
+    assert g.latency_requirements() == (("sink", 8.0, (("s1", "x"), ("s2", "y"))),)
 
 
 def test_bad_knob_rejected():

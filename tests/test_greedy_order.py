@@ -4,8 +4,9 @@ _State.best_option probes a block's options in key order and returns the
 first one that fits.  The oracle here scores every (candidate, combo) that
 _State.fits accepts with the key greedy minimises, (qloss, traffic,
 migration, site, gpu, levels), and takes the minimum; it shares none of
-the ordering code.  Level combos are compiled once per Block and reused by
-every _Problem built on the same catalog.
+the ordering code.  Level combos are compiled once per Block, and latency
+requirements once per AppGraph, and reused by every _Problem built on the
+same catalog.
 """
 
 from dataclasses import replace
@@ -97,3 +98,16 @@ def test_problems_on_one_catalog_share_the_compiled_combos():
         assert tuple(c for g in groups for c in g) == combos
         assert all(len({c.qloss for c in g}) == 1 for g in groups)
         assert [g[0].qloss for g in groups] == sorted({c.qloss for c in combos})
+
+
+def test_problems_on_one_catalog_share_the_compiled_latency_requirements():
+    for seed in range(50):
+        topology, app = random_instance(seed, max_sites=8, max_free=16)
+        if any(b.max_source_latency_ms is not None for b in app.blocks):
+            break
+    assert app._latency_requirements is None
+    _Problem(topology, [app], None)
+    reqs = app._latency_requirements
+    assert reqs and any(sources for _bid, _bound, sources in reqs)
+    _Problem(halved_cpu(topology), [app], None)
+    assert app.latency_requirements() is reqs

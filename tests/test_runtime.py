@@ -6,7 +6,7 @@ import pytest
 
 from edgeorch.runtime import (FULL, SENT, AdmissionRejected, Channel, ChannelContractError,
                               Dropped, PayloadTooLarge, RtTask, RuntimeState, UnknownTask,
-                              admit, bench_channel, release, schedulable)
+                              admit, bench_channel, release)
 
 
 # -- admission control ----------------------------------------------------------
@@ -62,14 +62,6 @@ def test_release_returns_capacity():
 def test_release_unknown_task():
     with pytest.raises(UnknownTask):
         release(RuntimeState(cpu_capacity=1.0), "ghost")
-
-
-def test_schedulable_utilization_bound():
-    assert schedulable([], 1.0)
-    full = [RtTask("a", 5, 10), RtTask("b", 5, 10)]
-    assert schedulable(full, 1.0)
-    over = full + [RtTask("c", 1, 100)]
-    assert not schedulable(over, 1.0)
 
 
 def test_task_validation():

@@ -171,3 +171,48 @@ def test_non_finite_numbers_are_refused(fig4_path, token):
     assert text.count(root_cores) == 1
     with pytest.raises(ScenarioError, match=token):
         parse_scenario(text.replace(root_cores, f'"cpu_cores": {token}'))
+
+
+def fig4_with_every_number(fig4_path):
+    """fig4 with every optional numeric field of the schema filled in."""
+    doc = json.loads(fig4_path.read_text())
+    collect = doc["apps"][0]["blocks"][1]
+    assert collect["id"] == "collect"
+    collect.update(gpu_mem_gb=0.0, gpu_compute_pct=0.0, max_source_latency_ms=50.0, params=[
+        {"name": "k", "levels": [{"quality": 1.0, "cpu_mult": 1.0, "gpu_mem_mult": 1.0,
+                                  "gpu_compute_mult": 1.0, "rate_mult": 1.0}]}])
+    doc["events"].append({"at": 30.0, "kind": "capacity_delta", "site": "cloud",
+                          "resource": "cpu_cores", "amount": -1.0})
+    doc["policy"].update(max_nodes=1000, max_evictions=4)
+    parse_scenario(json.dumps(doc))
+    return doc
+
+
+def numeric_fields(obj, path="$"):
+    """(JSON path, holder, key) of every number in a parsed document."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj)
+    for key, value in items:
+        here = f"{path}.{key}" if isinstance(obj, dict) else f"{path}[{key}]"
+        if type(value) in (int, float):
+            yield here, obj, key
+        elif isinstance(value, (dict, list)):
+            yield from numeric_fields(value, here)
+
+
+@pytest.mark.parametrize("bad", ["nan", "3", True, None, [], 10**400], ids=repr)
+def test_every_number_is_read_as_a_finite_number(fig4_path, bad):
+    doc = fig4_with_every_number(fig4_path)
+    fields = list(numeric_fields(doc))
+    assert len(fields) > 30
+    for path, holder, key in fields:
+        good = holder[key]
+        holder[key] = bad
+        if bad is None and key == "max_source_latency_ms":  # null means unbounded
+            apps = parse_scenario(json.dumps(doc)).apps.values()
+            block = next(b for app in apps for b in app.blocks if b.id == holder["id"])
+            assert block.max_source_latency_ms is None
+        else:
+            with pytest.raises(InvariantViolation) as exc:
+                parse_scenario(json.dumps(doc))
+            assert exc.value.path == path
+        holder[key] = good

@@ -22,7 +22,14 @@ The corpus:
   with greedy's placement on the halved tree as prev (its blocks sit on
   other sites than greedy's own ties pick, so the migration term of the
   objective decides more choices): the placement, or "infeasible" or
-  "over budget".
+  "over budget";
+- the audit of the whatif_audit base scenario, seeds 1-3: greedy's
+  placement as the base, then 100 seeded single-block moves (any slot of
+  the block's kind, pinned blocks too) and knob changes of it, each
+  digested as its check_feasible violations (kind, subject, repr of the
+  amount), policy_cost(prev=base).key() and plan_actions(base, it); and
+  one knob set one past its last level, digested as the name of the
+  exception check_feasible raises.
 """
 
 from __future__ import annotations
@@ -39,6 +46,8 @@ ROOT = Path(__file__).resolve().parent.parent
 STEPS = 600
 ONLINE_SEEDS = (1, 2, 3)
 INSTANCE_SEEDS = range(300)
+AUDIT_SEEDS = (1, 2, 3)
+AUDIT_MOVES = 100
 SIZES = (("default", {}, 10_000_000), ("wide", {"max_sites": 8, "max_free": 16}, 200_000))
 
 
@@ -101,12 +110,53 @@ def instance_cases():
                     yield f"{size}/seed{seed:03d}/{prev_kind}/{solver.__name__}", result
 
 
+def audit_cases():
+    import gen
+    from edgeorch import scenario_io
+    from edgeorch.placer import Placement, check_feasible, plan_actions, policy_cost, solve_greedy
+
+    for seed in AUDIT_SEEDS:
+        scenario = scenario_io.parse_scenario(gen.render(gen.whatif_base(random.Random(seed))))
+        topology = scenario.topology
+        apps = [scenario.apps[a] for a in sorted(scenario.apps)]
+        base = solve_greedy(topology, apps)
+        blocks = {b.id: b for app in apps for b in app.blocks}
+        ids = sorted(blocks)
+        slots = {False: [(sid, None) for sid in sorted(topology.sites)],
+                 True: [(sid, g.id) for sid in sorted(topology.sites)
+                        for g in topology.sites[sid].gpus]}
+        rng = random.Random(seed)
+        for k in range(AUDIT_MOVES):
+            assignment, levels = dict(base.assignment), dict(base.levels)
+            b = blocks[rng.choice(ids)]
+            if b.params and rng.random() < 0.3:
+                knob = rng.choice(b.params)
+                levels[(b.id, knob.name)] = rng.randrange(len(knob.levels))
+            else:
+                assignment[b.id] = rng.choice(slots[b.needs_gpu])
+            moved = Placement(assignment=assignment, levels=levels)
+            violations = [(v.kind, v.subject, repr(v.amount))
+                          for v in check_feasible(topology, apps, moved)]
+            yield f"audit/seed{seed}/move{k:03d}", (
+                violations, policy_cost(topology, apps, moved, prev=base).key(),
+                [a.to_json_obj() for a in plan_actions(base, moved)])
+        b = next(blocks[bid] for bid in ids if blocks[bid].params)
+        knob = b.params[-1]
+        out_of_range = Placement(assignment=base.assignment,
+                                 levels={**base.levels, (b.id, knob.name): len(knob.levels)})
+        try:
+            out = ("no error", check_feasible(topology, apps, out_of_range))
+        except LookupError as exc:  # LevelOutOfRange; its name is what is compared
+            out = type(exc).__name__
+        yield f"audit/seed{seed}/out_of_range", out
+
+
 def print_digests(src: Path) -> None:
     sys.path[:0] = [str(src), str(ROOT / "bench"), str(ROOT / "tests")]
     import edgeorch
     if not Path(edgeorch.__file__).resolve().is_relative_to(src.resolve()):
         sys.exit(f"edgeorch imported from {edgeorch.__file__}, not from {src}")
-    for cases in (online_cases(), instance_cases()):
+    for cases in (online_cases(), instance_cases(), audit_cases()):
         for case, out in cases:
             print(case, digest(out), flush=True)
 
